@@ -6,32 +6,36 @@
 Workloads (see workloads.py for why each exists): search, cli-mix,
 qseries.  Every process is single-threaded (BLAS/OpenMP pinned to 1).
 
---trace 0 prints the end-to-end metrics, measured with tracing off.
-The fixed job is repeated until --seconds have passed.  Host contention
-on a small shared machine slows whole stretches of a run by 10-40%, so
-each request's latency is taken as its best over the repetitions:
-  setup_s      median over SETUP_PROBES fresh interpreters of the time
-               from spawn through `import dilogtba.cli` and the warm-up
-  wall_s       the fixed job's time: the sum of its requests' latencies
-  peak_rss_mb  peak resident memory of the workload process
-and, printed and in the metadata only (see LATENCY):
-  req_p50_ms   median request latency (Harrell-Davis estimate)
+A repetition is one fresh interpreter (worker.py) that sets up, runs
+the workload's fixed job once and checks its outputs, so no cache of
+the program survives from one repetition to the next.  Repetitions run
+one after another until --seconds have passed, at least MIN_REPS times.
+
+--trace 0 prints the end-to-end metrics, medians over the repetitions:
+  setup_s      time from spawn through `import dilogtba.cli` and the
+               warm-up of one request or job of each kind
+  wall_s       time of the fixed job: the sum of its request latencies
+  peak_rss_mb  peak resident memory of the repetition's process
+and, printed and in the metadata only (see LATENCY), over the job's
+requests, each taken at its median over the repetitions:
+  req_p50_ms   median request latency
   req_tail_ms  latency at the highest percentile with at least 10
                requests beyond it
---trace 1 runs the job untraced, then traced, and prints the per-layer
-metrics: calls and self time of every traced function (tracer.py), the
-exact counters, the set-up split, and the tracing overhead.
+--trace 1 alternates untraced and traced repetitions and prints the
+per-layer metrics: calls and self time of every traced function
+(tracer.py), the exact counters, the set-up split, and the tracing
+overhead.
 
 The last stdout line is the JSON result {correct, attempted, failed,
 metrics}.  attempted and failed count the operations of one run of the
 fixed job; a failed output check is a failed operation (workloads.py).
 correct is false when the run cannot be trusted: the output digest
-differs between repetitions or between the traced and untraced runs,
-or, for search, tba.solve_r2 calls differ from solved + scan failures
-+ suspect re-solves.  The lines before the result give the metrics by
-name with units, fail_ratio, and a metadata record that is also written
-to perfbench/results/.  Exits 1 without a result if the program cannot
-be run or benchmarked.
+differs between repetitions, traced or not, or, for search,
+tba.solve_r2 calls differ from solved + scan failures + suspect
+re-solves.  The lines before the result give the metrics by name with
+units, fail_ratio, and a metadata record that is also written to
+perfbench/results/.  Exits 1 without a result if the program cannot be
+run or benchmarked.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 RESULTS = HERE / "results"
 WORKLOADS = ("search", "cli-mix", "qseries")
-SETUP_PROBES = 7
+MIN_REPS = 3
 _WORKER_TIMEOUT_S = 150
 
 END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB"}
-# Printed and recorded, not in the result: across ten seeds their spread
-# reached 0.19 (cli-mix tail) and 0.29 (qseries median) on a 2-vCPU
-# shared host, beyond any bound the result may carry.
+# Printed and recorded, not in the result: requests of different kinds
+# sit close together near the qseries quantiles, so across seeds they
+# spread 0.18-0.20, too near 0.25, the largest bound the result may carry.
 LATENCY = {"req_p50_ms": "ms", "req_tail_ms": "ms"}
 
 _SEARCH_COUNTS = ("enumerated", "pruned", "solved", "scan_failures", "suspect_resolves",
@@ -94,8 +98,11 @@ def _env() -> dict:
     return env
 
 
-def _worker(args: list[str]) -> tuple[dict, float]:
-    """Run worker.py in a fresh interpreter; returns its result and spawn time."""
+def _repetition(workload: str, seed: int, trace: int, spans: Path | None = None) -> dict:
+    """One repetition in a fresh interpreter; its setup_s runs from spawn to ready."""
+    args = ["--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+    if spans is not None:
+        args += ["--spans", str(spans)]
     cmd = [sys.executable, str(HERE / "worker.py"), *args]
     spawned = time.clock_gettime(time.CLOCK_MONOTONIC)
     try:
@@ -105,24 +112,29 @@ def _worker(args: list[str]) -> tuple[dict, float]:
         raise BenchError(f"worker {' '.join(args)} timed out") from None
     if proc.returncode != 0:
         raise BenchError(f"worker {' '.join(args)} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1]), spawned
+    rep = json.loads(proc.stdout.strip().splitlines()[-1])
+    rep["setup"]["setup_s"] = rep["setup"]["ready_monotonic"] - spawned
+    return rep
 
 
-def _setup_probes(workload: str) -> dict:
-    samples = []
-    for _ in range(SETUP_PROBES):
-        out, spawned = _worker(["--workload", workload, "--seed", "0", "--setup-only"])
-        samples.append({**out, "setup_s": out["ready_monotonic"] - spawned})
-    return {k: median(s[k] for s in samples)
-            for k in ("setup_s", "numpy_import_s", "dilogtba_import_s", "warmup_s")}
+def _repetitions(workload: str, seed: int, seconds: float, trace: int,
+                 spans: Path | None) -> tuple[list[dict], list[dict]]:
+    """Untraced and traced repetitions, until seconds have passed.
 
-
-def _measure(workload: str, seed: int, seconds: float, trace: int, spans: Path | None = None) -> dict:
-    args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", str(trace)]
-    if spans is not None:
-        args += ["--spans", str(spans)]
-    return _worker(args)[0]
+    With trace 1 the two kinds alternate, so host load drifting during
+    the run weighs on both alike; only the first traced one writes spans.
+    """
+    untraced, traced = [], []
+    kinds = (0, 1) if trace else (0,)
+    start = time.monotonic()
+    while (time.monotonic() - start < seconds or len(untraced) < MIN_REPS
+           or (trace and len(traced) < MIN_REPS)):
+        for kind in kinds:
+            if kind:
+                traced.append(_repetition(workload, seed, 1, None if traced else spans))
+            else:
+                untraced.append(_repetition(workload, seed, 0))
+    return untraced, traced
 
 
 def tail_percentile(n: int) -> float:
@@ -136,92 +148,53 @@ def percentile(values: list[float], pct: float) -> float:
     return ordered[max(math.ceil(pct / 100 * len(ordered)) - 1, 0)]
 
 
-def _misses(out: dict) -> list[str]:
-    return [m for rep in out["reps"] for m in rep["misses"]]
-
-
-def _integrity(out: dict) -> list[str]:
-    """Problems that make the run itself untrustworthy."""
-    digests = {rep["digest"] for rep in out["reps"]}
-    if len(digests) > 1:
-        return [f"output digest differs between repetitions: {sorted(digests)}"]
-    return []
-
-
-def harrell_davis(values: list[float], p: float) -> float:
-    """Harrell-Davis estimate of the p-quantile.
-
-    A Beta-weighted mean of all order statistics: unlike a single order
-    statistic it moves smoothly when requests of different kinds trade
-    places near the quantile.
-    """
-    from mpmath import betainc
-    ordered = sorted(values)
-    n = len(ordered)
-    a, b = p * (n + 1), (1 - p) * (n + 1)
-    cdf = [float(betainc(a, b, 0, i / n, regularized=True)) for i in range(n + 1)]
-    return sum(x * (cdf[i + 1] - cdf[i]) for i, x in enumerate(ordered))
-
-
-def _end_to_end(out: dict, setup: dict) -> tuple[dict, dict]:
-    # every repetition runs the same requests, so each request's latency
-    # is its best of the repetitions
-    best_ms = [min(times) * 1e3 for times in zip(*(rep["latencies_s"] for rep in out["reps"]))]
-    pct = tail_percentile(len(best_ms))
+def _end_to_end(reps: list[dict]) -> tuple[dict, dict]:
     values = {
-        "setup_s": setup["setup_s"],
-        "wall_s": sum(best_ms) / 1e3,
-        "peak_rss_mb": out["peak_rss_mb"],
+        "setup_s": median(rep["setup"]["setup_s"] for rep in reps),
+        "wall_s": median(rep["wall_s"] for rep in reps),
+        "peak_rss_mb": median(rep["peak_rss_mb"] for rep in reps),
     }
-    latency = {"req_p50_ms": harrell_davis(best_ms, 0.5),
-               "req_tail_ms": harrell_davis(best_ms, pct / 100),
-               "tail_percentile": pct, "samples": len(best_ms)}
+    request_ms = [median(times) * 1e3 for times in zip(*(rep["latencies_s"] for rep in reps))]
+    pct = tail_percentile(len(request_ms))
+    latency = {"req_p50_ms": percentile(request_ms, 50),
+               "req_tail_ms": percentile(request_ms, pct),
+               "tail_percentile": pct, "samples": len(request_ms)}
     return values, {"latency": latency}
 
 
-def _per_layer(traced: dict, ref: dict, setup: dict) -> tuple[dict, dict, list[str]]:
-    reps = traced["reps"]
-    values = {}
-    for key in reps[0]["layers"]:
-        values[key] = median(rep["layers"][key] for rep in reps)
+def _per_layer(traced: list[dict], untraced: list[dict]) -> tuple[dict, dict, list[str]]:
+    values = {key: median(rep["layers"][key] for rep in traced) for key in traced[0]["layers"]}
+    counts = traced[0]["counts"]
     for key in _SEARCH_COUNTS:
-        values[f"search.{key}"] = median(rep["counts"].get(key, 0) for rep in reps)
-    values["search.prune_ratio"] = median(
-        rep["counts"].get("pruned", 0) / rep["counts"]["enumerated"] if rep["counts"].get("enumerated") else 0.0
-        for rep in reps)
-    values["search.yield"] = median(
-        rep["counts"].get("admissible", 0) / rep["counts"]["solved"] if rep["counts"].get("solved") else 0.0
-        for rep in reps)
-    values["cli.requests_failed"] = median(rep["counts"].get("requests_failed", 0) for rep in reps)
+        values[f"search.{key}"] = counts.get(key, 0)
+    values["search.prune_ratio"] = (counts["pruned"] / counts["enumerated"]
+                                    if counts.get("enumerated") else 0.0)
+    values["search.yield"] = counts["admissible"] / counts["solved"] if counts.get("solved") else 0.0
+    values["cli.requests_failed"] = counts.get("requests_failed", 0)
 
     meta = {}
-    for name, key in (("tba.solve_r2", "tba.solve_r2.p50_us"), ("charges.recognize", "charges.recognize.p50_us")):
-        durations = traced["durations_s"][name]
-        values[key] = median(durations) * 1e6 if durations else 0.0
+    for name in ("tba.solve_r2", "charges.recognize"):
+        durations = [d for rep in traced for d in rep["durations_s"][name]]
+        values[f"{name}.p50_us"] = percentile(durations, 50) * 1e6 if durations else 0.0
         meta[f"{name}.samples"] = len(durations)
-    durations = traced["durations_s"]["tba.solve_r2"]
-    if len(durations) > 10:
-        pct = tail_percentile(len(durations))
-        values["tba.solve_r2.tail_us"] = percentile(durations, pct) * 1e6
-        meta["tba.solve_r2.tail_percentile"] = pct
-    else:
-        values["tba.solve_r2.tail_us"] = 0.0
+        if name == "tba.solve_r2":
+            pct = tail_percentile(len(durations)) if len(durations) > 10 else None
+            values["tba.solve_r2.tail_us"] = percentile(durations, pct) * 1e6 if pct else 0.0
+            meta["tba.solve_r2.tail_percentile"] = pct
     for key in ("numpy_import_s", "dilogtba_import_s", "warmup_s"):
-        values[f"setup.{key}"] = setup[key]
-    values["trace.overhead"] = (median(rep["wall_s"] for rep in reps)
-                                / median(rep["wall_s"] for rep in ref["reps"]))
+        values[f"setup.{key}"] = median(rep["setup"][key] for rep in untraced + traced)
+    values["trace.overhead"] = (median(rep["wall_s"] for rep in traced)
+                                / median(rep["wall_s"] for rep in untraced))
 
     problems = []
-    if traced["reps"][0]["digest"] != ref["reps"][0]["digest"]:
-        problems.append("traced output digest differs from the untraced one")
-    if traced["workload"] == "search":
-        for i, rep in enumerate(reps):
+    if traced[0]["workload"] == "search":
+        for i, rep in enumerate(traced):
             calls = rep["layers"]["tba.solve_r2.calls"]
             c = rep["counts"]
             accounted = c["solved"] + c["scan_failures"] + c["suspect_resolves"]
             if calls != accounted:
-                problems.append(f"rep {i}: tba.solve_r2.calls {calls} != solved + scan_failures"
-                              f" + suspect_resolves {accounted}")
+                problems.append(f"traced rep {i}: tba.solve_r2.calls {calls} != solved"
+                                f" + scan_failures + suspect_resolves {accounted}")
     return values, meta, problems
 
 
@@ -234,32 +207,33 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> tuple[
     if not (ROOT / "src" / "dilogtba" / "__init__.py").is_file():
         raise BenchError(f"no dilogtba package under {ROOT / 'src'}")
     RESULTS.mkdir(exist_ok=True)
-    setup = _setup_probes(workload)
+    spans = RESULTS / f"spans-{workload}-seed{seed}.csv" if trace else None
+    untraced, traced = _repetitions(workload, seed, seconds, trace, spans)
     meta = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
-            "nproc": os.cpu_count(), "src_lines": _src_lines(), "setup_probes": SETUP_PROBES}
+            "nproc": os.cpu_count(), "src_lines": _src_lines(),
+            "reps": len(untraced), "traced_reps": len(traced)}
     if trace:
-        ref = _measure(workload, seed, seconds / 2, 0)
-        spans = RESULTS / f"spans-{workload}-seed{seed}.csv"
-        out = _measure(workload, seed, seconds / 2, 1, spans)
-        values, extra, problems = _per_layer(out, ref, setup)
-        problems += _integrity(ref)
+        values, extra, problems = _per_layer(traced, untraced)
         units = PER_LAYER
         meta["spans_file"] = str(spans.relative_to(ROOT))
     else:
-        out = _measure(workload, seed, seconds, 0)
-        values, extra = _end_to_end(out, setup)
+        values, extra = _end_to_end(untraced)
         problems = []
         units = END_TO_END
-    problems += _integrity(out)
-    reps = out["reps"]
+    reps = untraced + traced
+    digests = {rep["digest"] for rep in reps}
+    if len(digests) > 1:
+        problems.append(f"output digest differs between repetitions, traced or not: {sorted(digests)}")
     attempted = reps[0]["attempted"]
     failed = max(rep["failed"] for rep in reps)
+    misses = sorted({m for rep in reps for m in rep["misses"]})
     meta.update(extra)
     meta.update({
-        "versions": out["versions"], "reps": len(reps), "ops_per_job": out["ops_per_job"],
+        "versions": reps[0]["versions"], "ops_per_job": reps[0]["ops_per_job"],
         "digest": reps[0]["digest"], "attempted": attempted, "failed": failed,
-        "fail_ratio": failed / attempted, "check_misses": sorted(set(_misses(out)))[:20],
+        "fail_ratio": failed / attempted, "check_misses": misses[:20],
         "integrity_problems": problems,
+        "rep_wall_s": [rep["wall_s"] for rep in untraced],
     })
     result = {
         "correct": not problems,

@@ -16,6 +16,7 @@ the time covered by its child spans, computed as calls return.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from time import perf_counter
 
@@ -84,13 +85,16 @@ class Tracer:
         self.calls.append(0)
         self.self_s.append(0.0)
         durations = self.durations.get(name)
-        counts_grid = name == "tba.solve_r2"
+        # grid_n as solve_r2 receives it, its own default included
+        signature = inspect.signature(fn) if name == "tba.solve_r2" else None
         counts_coeffs = name == "qseries.expand"
         stack, spans, calls, self_s = self._stack, self.spans, self.calls, self.self_s
 
         def wrapper(*args, **kwargs):
-            if counts_grid:
-                self.grid_points += kwargs.get("grid_n", args[1] if len(args) > 1 else 100_000)
+            if signature is not None:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                self.grid_points += bound.arguments["grid_n"]
             span_id = self._next_id
             self._next_id += 1
             parent = stack[-1][0] if stack else -1

@@ -1,17 +1,13 @@
-"""One workload process: set up, run the fixed job until time is up, check.
+"""One repetition of a workload, in a fresh interpreter: set up, run the job once, check.
 
-Started by run.py in a fresh interpreter with PYTHONPATH pointing at the
-checkout's src/ and BLAS/OpenMP pinned to one thread.  Prints one JSON
-object on its last stdout line:
-
-  --setup-only  the set-up split (numpy import, dilogtba import,
-                warm-up) and the CLOCK_MONOTONIC time set-up ended;
-  otherwise     per-repetition wall times, request latencies, digests,
-                failure counts and (traced) per-layer snapshots, plus
-                peak RSS and versions.
-
-The fixed job is run at least MIN_REPS times and then until --seconds
-have passed; every repetition must give the same output digest.
+Started by run.py with PYTHONPATH pointing at the checkout's src/ and
+BLAS/OpenMP pinned to one thread.  Every repetition is its own process,
+so nothing the program caches (the kappa cache, the grid cache, refined
+constants) carries over from one run of the job to the next.  Prints
+one JSON object on its last stdout line: the set-up split and the
+CLOCK_MONOTONIC time set-up ended, the job's wall time and request
+latencies, its output digest, failure counts, the traced per-layer
+totals (with --trace 1), peak RSS and versions.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import platform
 import resource
 import time
 
-MIN_REPS = 3
 _MAX_MISSES = 20
 
 
@@ -46,14 +41,14 @@ def _setup(workload_name: str) -> tuple[object, dict]:
     }
 
 
-def _run_rep(workload, job, rep: int, tracer) -> dict:
+def _run_job(workload, job, tracer) -> dict:
     digest = hashlib.sha256()
     latencies, misses, counts = [], [], {}
     attempted = failed = 0
     state: dict = {}
     for i, op in enumerate(job):
         if tracer is not None:
-            tracer.op = rep * 10_000 + i
+            tracer.op = i
         t = time.perf_counter()
         try:
             raw = workload.execute(op)
@@ -72,6 +67,7 @@ def _run_rep(workload, job, rep: int, tracer) -> dict:
         misses.extend(out.misses)
         for key, value in out.counts.items():
             counts[key] = counts.get(key, 0) + value
+    # the output checks run between requests, outside the timed region
     return {
         "wall_s": sum(latencies),
         "latencies_s": latencies,
@@ -87,17 +83,11 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=0.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--spans", default=None, help="file for the traced spans")
     args = ap.parse_args()
 
     workload, setup = _setup(args.workload)
-    if args.setup_only:
-        print(json.dumps(setup))
-        return
-
     job = workload.make_job(args.seed)
     tracer = None
     if args.trace:
@@ -105,26 +95,17 @@ def main() -> None:
         tracer = Tracer()
         tracer.install()
 
-    reps = []
-    start = time.perf_counter()
-    while len(reps) < MIN_REPS or time.perf_counter() - start < args.seconds:
-        before = tracer.snapshot() if tracer else None
-        rep = _run_rep(workload, job, len(reps), tracer)
-        if tracer:
-            after = tracer.snapshot()
-            rep["layers"] = {k: after[k] - before[k] for k in after}
-        reps.append(rep)
-
-    result = {
+    result = _run_job(workload, job, tracer)
+    result.update({
         "workload": args.workload,
         "seed": args.seed,
         "ops_per_job": len(job),
         "setup": setup,
-        "reps": reps,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "versions": _versions(),
-    }
+    })
     if tracer:
+        result["layers"] = tracer.snapshot()
         result["durations_s"] = tracer.durations
         if args.spans:
             tracer.write_spans(args.spans)

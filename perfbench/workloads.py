@@ -219,10 +219,9 @@ def _malformed(rng: random.Random) -> list[list[str]]:
     ]
 
 
-# Request counts per kind in one cli-mix job.  Light requests (bounds,
-# classify, recognize, rank-1 solves, small expands, malformed input)
-# are about a third of the stream, so the median falls well inside the
-# rank-2 solve class instead of on the edge between the two.
+# Request counts per kind in one cli-mix job: mostly rank-2 solve and
+# dual at the default grid, with a few of the heavy identity, expand
+# and ceff requests.
 _CLI_MIX = dict(solve=56, solve_r1=4, dual=15, bounds=8, classify=8, recognize=10,
                 verify=5, expand=5, ceff=7)
 
@@ -319,10 +318,14 @@ class CliMixWorkload:
                            misses=[f"{' '.join(argv)}: {got}, expected exit {want_rc}"])
         misses = []
         if rc == 0:
-            doc = json.loads(out)
-            problems = self._validate(doc)
+            try:
+                doc = json.loads(out)
+            except ValueError as exc:
+                problems = [f"not JSON ({exc})"]
+            else:
+                problems = self._validate(doc)
             if problems:
-                misses.append(f"{argv[0]} reply fails the schema: {problems[0]}")
+                misses.append(f"{argv[0]} reply is invalid: {problems[0]}")
             elif doc["command"] == "solve" and doc["rank"] == 2:
                 a, b, d = (F(doc["matrix"][k]) for k in "abd")
                 res = equation_residual(a, b, d, doc["x"]["value"], doc["y"]["value"])
@@ -400,6 +403,9 @@ class QseriesWorkload:
             return Outcome(digest=digest, failed=len(misses), misses=misses)
         if kind == "eval_at":
             digest = f"eval_at {name} {arg} {raw!r}\n"
+            if name not in state:   # every expand of this form failed
+                misses.append(f"eval_at {name} q={arg}: no expansion to check against")
+                return Outcome(digest=digest, failed=1, misses=misses)
             ref = state[name].eval_at(arg)
             if not abs(raw - ref) <= _EVAL_REL_TOL * abs(ref):
                 misses.append(f"eval_at {name} q={arg}: {raw!r} vs truncated expansion {ref!r}")
