@@ -17,7 +17,8 @@ solution found, failed identity, non-terminating series), 2 input
 error (unknown subcommand, malformed fraction, missing flag).
 
 The environment variable DILOGTBA_TOL sets the default recognition
-tolerance (flag --tol overrides; built-in default 1e-9).
+tolerance (flag --tol overrides; built-in default 1e-9).  Both must be
+positive finite numbers; a bad value is an input error.
 """
 
 from __future__ import annotations
@@ -77,6 +78,32 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"malformed fraction for {what}: {text!r} ({exc})") from None
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number (from the flag or DILOGTBA_TOL), got {text!r}"
+        )
+    return value
+
+
+def _int_at_least(lowest: int):
+    """argparse type for an integer no smaller than lowest."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return parse
 
 
 def _fr(x: Fraction) -> str:
@@ -267,8 +294,10 @@ def _cmd_recognize(args) -> int:
     raw = args.value
     try:
         value = float(Fraction(raw)) if "/" in raw else float(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _InputError(f"malformed value {raw!r} ({exc})") from None
+    if not math.isfinite(value):
+        raise _InputError(f"value must be a finite number, got {raw!r}")
     m = recognize(value, tol=args.tol, max_st=args.max_st, max_n=args.max_n,
                   max_den=args.max_den)
     lines = [f"value {value!r}", _matches_text(m)]
@@ -421,13 +450,15 @@ _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    default_tol = float(os.environ.get("DILOGTBA_TOL", "1e-9"))
+    # a string default goes through type= when the flag is absent, so a
+    # bad DILOGTBA_TOL is reported as an input error at parse time
+    default_tol = os.environ.get("DILOGTBA_TOL", "1e-9")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--no-header", action="store_true",
                         help="suppress the version header on text output")
-    common.add_argument("--tol", type=float, default=default_tol,
+    common.add_argument("--tol", type=_positive_float, default=default_tol,
                         help="recognition tolerance (default from DILOGTBA_TOL or 1e-9)")
 
     matrix = argparse.ArgumentParser(add_help=False)
@@ -448,7 +479,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", parents=[common, matrix],
                         help="solve the TBA system and recognize c")
     sp._negative_number_matcher = _NEGATIVE_TOKEN
-    sp.add_argument("--grid-n", type=int, default=100_000, help="scan resolution")
+    sp.add_argument("--grid-n", type=_int_at_least(1001), default=100_000,
+                    help="scan resolution (at least 1001)")
     sp.add_argument("--no-range-check", action="store_true",
                     help="solve even when the entry-range condition fails")
     sp.set_defaults(func=_cmd_solve)
@@ -476,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("value", help="decimal or fraction p/q")
     sp.add_argument("--max-st", type=int, default=200, help="largest |st| product")
     sp.add_argument("--max-n", type=int, default=60, help="largest parafermionic n")
-    sp.add_argument("--max-den", type=int, default=10_000,
+    sp.add_argument("--max-den", type=_int_at_least(1), default=10_000,
                     help="largest denominator for plain-rational matches")
     sp.set_defaults(func=_cmd_recognize)
 
@@ -484,16 +516,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="enumerate matrices and report admissible candidates")
     sp.add_argument("--config", choices=sorted(EXAMPLE_CONFIGS), default=None,
                     help="use a named example configuration")
-    sp.add_argument("--max-den-entries", type=int, default=2,
+    sp.add_argument("--max-den-entries", type=_int_at_least(1), default=2,
                     help="largest entry denominator")
-    sp.add_argument("--max-num", type=int, default=8, help="largest entry numerator")
+    sp.add_argument("--max-num", type=_int_at_least(1), default=8,
+                    help="largest entry numerator")
     sp.add_argument("--entry-min", default=None, metavar="P/Q")
     sp.add_argument("--entry-max", default=None, metavar="P/Q")
     sp.add_argument("--fix-d", default=None, metavar="P/Q", help="pin d to one value")
     sp.add_argument("--a-eq-d", action="store_true", help="restrict to a = d")
     sp.add_argument("--keep-nonunique", action="store_true",
                     help="treat multi-solution matrices as ordinary candidates")
-    sp.add_argument("--grid-n", type=int, default=20_001, help="scan resolution")
+    sp.add_argument("--grid-n", type=_int_at_least(1001), default=20_001,
+                    help="scan resolution (at least 1001)")
     sp.add_argument("--dedupe", action="store_true",
                     help="collapse duality-paired candidates to the c <= 1 member")
     sp.set_defaults(func=_cmd_search)

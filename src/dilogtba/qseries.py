@@ -28,7 +28,9 @@ The shipped FORMS are the seven catalog characters: three r=1 forms
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -116,6 +118,29 @@ class FermionicForm:
         else:
             dens += [self.A.a.denominator, self.A.b.denominator, self.A.d.denominator]
         return math.lcm(*dens)
+
+    def exponent_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """The lattice denominator L and the integers that scale exponents to it.
+
+        Returns (L, n) with n = (a L, B_1 L, lead L) for r = 1 and
+        n = (a L, 2b L, d L, B_1 L, B_2 L, lead L) for r = 2, so that
+        L (lead + m.A m + B.m) is an integer polynomial in m
+        (_exponent_numerator).
+        """
+        L = self.lattice_denominator()
+        quad = (self.A,) if self.r == 1 else (self.A.a, 2 * self.A.b, self.A.d)
+        return L, tuple(int(v * L) for v in (*quad, *self.B, self.lead))
+
+
+def _exponent_numerator(n: tuple[int, ...], m: tuple[int, ...]) -> int:
+    """L (lead + m.A m + B.m), exactly, from FermionicForm.exponent_numerators()."""
+    if len(m) == 1:
+        a, B1, lead = n
+        (x,) = m
+        return lead + (a * x + B1) * x
+    a, b2, d, B1, B2, lead = n
+    x, y = m
+    return lead + (a * x + b2 * y + B1) * x + (d * y + B2) * y
 
 
 def restricted_variant(form: FermionicForm, index: int, modulus: int, residue: int) -> FermionicForm:
@@ -246,13 +271,21 @@ def expand(form: FermionicForm, order) -> QSeries:
     (the admissible range guarantees nonnegativity for the catalog
     forms) and NonTerminatingSeries when the sum has infinitely many
     terms at some exponent below the order.
+
+    The points are grouped by m1 and by L (lead + m.A m + B.m) mod L
+    (r = 1 runs as m1 = 0, m2 = m).  Within
+    a group the partition rows 1/(q)_m2 are added at their integer
+    offsets, and the group sum is then divided by (q)_m1 in place, one
+    running sum s[i] += s[i-k] per k = 1..m1 (Euler's recurrence).  All
+    arithmetic is on exact integers; the cost is
+    O(points * order + sum over groups of m1 * order).
     """
     order = _as_fraction(order, "order")
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     _check_terminates(form)
 
-    L = form.lattice_denominator()
+    L, num = form.exponent_numerators()
     lead = form.lead
     points: list[tuple[tuple[int, ...], Fraction]] = []
 
@@ -323,30 +356,38 @@ def expand(form: FermionicForm, order) -> QSeries:
             if m1 > 10**6:
                 raise NonTerminatingSeries("enumeration exceeded the safety cap")
 
-    # jmax = largest extra integer power of q any Pochhammer factor can add
-    jmax = max((int(order - lead - e) for _, e in points), default=0)
-    max_m = max((max(m) for m, _ in points), default=0)
-    rows = _partition_rows(max_m, jmax)
+    # Group the points by m1 and by the fractional part of the exponent;
+    # a group's exponents differ by integers, so its m2-sum is one
+    # integer series.
+    top = math.floor(order * L)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, e in points:
+        k0 = _exponent_numerator(num, m)
+        assert k0 == (lead + e) * L, "lattice denominator does not cover an exponent"
+        m1, m2 = (0, m[0]) if form.r == 1 else m
+        groups.setdefault((m1, k0 % L), []).append((k0, m2))
+
+    # the lowest exponent needs the longest partition row
+    k_min = min((k0 for pts in groups.values() for k0, _ in pts), default=top)
+    max_m2 = max((m2 for pts in groups.values() for _, m2 in pts), default=0)
+    rows = _partition_rows(max_m2, (top - k_min) // L)
 
     coeffs: dict[int, int] = {}
-    for m, e in points:
-        e_abs = lead + e
-        budget = int(order - e_abs)
-        k0_frac = e_abs * L
-        assert k0_frac.denominator == 1, "lattice denominator does not cover an exponent"
-        k0 = int(k0_frac)
-        if form.r == 1:
-            row = rows[m[0]]
-            for j in range(budget + 1):
-                coeffs[k0 + j * L] = coeffs.get(k0 + j * L, 0) + row[j]
-        else:
-            r1_, r2_ = rows[m[0]], rows[m[1]]
-            for j1 in range(budget + 1):
-                v = r1_[j1]
-                if v == 0:
-                    continue
-                for j2 in range(budget + 1 - j1):
-                    coeffs[k0 + (j1 + j2) * L] = coeffs.get(k0 + (j1 + j2) * L, 0) + v * r2_[j2]
+    for (m1, res), pts in groups.items():
+        # s[i] is the coefficient of q^((res + (n_lo + i) L) / L)
+        n_lo = min(k0 for k0, _ in pts) // L
+        n_hi = (top - res) // L
+        s = [0] * (n_hi - n_lo + 1)
+        for k0, m2 in pts:
+            off = k0 // L - n_lo
+            width = n_hi - n_lo + 1 - off
+            s[off:] = map(operator.add, s[off:], rows[m2][:width])
+        # divide by (q)_{m1}: 1/(1 - q^k) is a running sum along stride k
+        for k in range(1, m1 + 1):
+            for start in range(min(k, len(s))):
+                s[start::k] = itertools.accumulate(s[start::k])
+        for n, v in enumerate(s, start=n_lo):
+            coeffs[res + n * L] = coeffs.get(res + n * L, 0) + v
 
     return QSeries(denom=L, coeffs=coeffs, order=order)
 
@@ -368,8 +409,14 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     """Numeric value of the fermionic sum at real q in (0, 1).
 
     Terms are grouped into shells by max(m) and summed in row-major
-    order.  With cutoff=None, shells are added until the geometric tail
-    bound (last shell times ratio/(1-ratio)) falls below 1e-14 of the
+    order; each exponent is the exact integer L (lead + m.A m + B.m)
+    divided by L once, so it is the correctly rounded float of the
+    rational exponent.  The tail test compares sums over whole periods
+    of P consecutive shells, P the lcm of the restriction moduli (P = 1
+    without restrictions), so a congruence that thins every other shell
+    cannot fake a fast decay.  With cutoff=None, shells are added until
+    the geometric tail bound (last period sum times ratio/(1-ratio),
+    ratio between the last two period sums) falls below 1e-14 of the
     partial sum; an explicit cutoff sums m <= cutoff and still requires
     the bound to certify the tail.  TailBoundError reports failures.
     """
@@ -377,13 +424,16 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
         raise DomainError(f"q must be in (0,1), got {q}")
     _check_terminates(form)
 
+    L, num = form.exponent_numerators()
+    period = math.lcm(*(res[0] for res in form.restrictions or () if res is not None))
     lnq = math.log(q)
     hard_cap = 200_000 if form.r == 1 else 5_000
     limit = min(cutoff, hard_cap) if cutoff is not None else hard_cap
 
     poch = [1.0]  # (q)_n
     total = 0.0
-    prev_shell = None
+    block = 0.0  # sum of the shells in the current period
+    prev_block = None
     tail = math.inf
     M = 0
     while M <= limit:
@@ -391,21 +441,19 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
             poch.append(poch[-1] * (1.0 - q ** M))
         shell = 0.0
         for m in _shell_points(form, M):
-            e = float(form.lead + form.exponent(m))
-            term = math.exp(lnq * e)
+            term = math.exp(lnq * (_exponent_numerator(num, m) / L))
             for mi in m:
                 term /= poch[mi]
             shell += term
         total += shell
-        if prev_shell is not None and 0.0 < shell < prev_shell:
-            ratio = shell / prev_shell
-            tail = shell * ratio / (1.0 - ratio)
-            if cutoff is None and tail <= 1e-14 * abs(total):
-                return total
-        elif shell == 0.0 and prev_shell == 0.0 and M > 2:
-            # two empty shells: restrictions skipped them; keep going
-            pass
-        prev_shell = shell
+        block += shell
+        if (M + 1) % period == 0:
+            if prev_block is not None and 0.0 < block < prev_block:
+                ratio = block / prev_block
+                tail = block * ratio / (1.0 - ratio)
+                if cutoff is None and tail <= 1e-14 * abs(total):
+                    return total
+            prev_block, block = block, 0.0
         M += 1
 
     if cutoff is not None and tail <= 1e-14 * abs(total):

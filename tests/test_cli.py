@@ -144,12 +144,6 @@ def test_solve_scan_failure_exits_1():
     assert "no solution" in err
 
 
-def test_solve_grid_too_small_exits_1():
-    code, _, err = run_cli(["solve", "-A", "1", "1/2", "1/2", "--grid-n", "10"])
-    assert code == 1
-    assert "grid_n" in err
-
-
 # ---------------------------------------------------------------------------
 # input validation (exit code 2)
 
@@ -169,10 +163,33 @@ def test_solve_grid_too_small_exits_1():
     ["ceff-estimate", "chi_2_5", "--eps", "a,b,c"],
     ["no-such-command"],
     [],
+    ["solve", "-A", "1", "1/2", "1/2", "--grid-n", "10"],  # grid below 1001
+    ["search", "--grid-n", "1000"],
+    ["recognize", "nan"],                    # value must be finite
+    ["recognize", "inf"],
+    ["recognize", "1e400"],
+    ["recognize", "0.5", "--tol", "0"],      # tol must be positive and finite
+    ["recognize", "0.5", "--tol", "-1e-9"],
+    ["recognize", "0.5", "--tol", "nan"],
+    ["search", "--max-num", "0"],            # enumeration bounds must be >= 1
+    ["search", "--max-den-entries", "0"],
+    ["recognize", "0.5", "--max-den", "0"],
 ])
 def test_input_errors_exit_2(argv):
     code, _, _ = run_cli(argv)
     assert code == 2, argv
+
+
+@pytest.mark.parametrize("env_tol", ["abc", "0", "inf"])
+def test_bad_tolerance_environment_exits_2(env_tol, monkeypatch):
+    monkeypatch.setenv("DILOGTBA_TOL", env_tol)
+    code, out, err = run_cli(["recognize", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert "DILOGTBA_TOL" in err and "Traceback" not in err
+    # an explicit flag overrides the environment
+    code, _, _ = run_cli(["recognize", "0.5", "--tol", "1e-9"])
+    assert code == 0
 
 
 def test_negative_fraction_matrix_entries_parse():

@@ -4,7 +4,9 @@ Coefficient oracles are classical partition counts computed here by
 independent dynamic programming: the one-variable quadratic form with
 A = 1, B = 1 matches partitions into parts congruent to +-2 mod 5, the
 A = 1/2, B = 1/2 form matches partitions into distinct parts, and
-A = 0, B = 1 gives the unrestricted partition numbers.  Truncated
+A = 0, B = 1 gives the unrestricted partition numbers.  Two-variable
+expansions are checked exactly against a reference that multiplies the
+two partition rows of every lattice point separately.  Truncated
 expansions are checked against the adaptive numeric evaluator with the
 tail bounded by a longer expansion (the coefficients are nonnegative,
 so partial sums increase monotonically).
@@ -98,6 +100,66 @@ def test_two_variable_exponent_formula():
     # m.A m + B.m at m = (1, 2): 1 + 2*(1/2)*2 + (3/4)*4 - 1 = 5.
     assert form.exponent((1, 2)) == F(5)
     assert form.exponent((0, 0)) == F(0)
+
+
+# ---------------------------------------------------------------------------
+# two-variable expansion against a per-point reference
+
+
+def _reference_expand(form, order):
+    """Exact r = 2 expansion, one lattice point at a time.
+
+    Each point m contributes q^(lead + m.A m + B.m) times the product
+    of the two partition rows 1/(q)_m1 and 1/(q)_m2, multiplied out
+    term by term.  The box side 2 order + 12 holds every point at or
+    below the order for the forms tested here, whose exponents grow at
+    least like max(m) - 1.
+    """
+    order = F(order)
+    L = form.lattice_denominator()
+    room = order - form.lead
+    box = 2 * int(order) + 12
+    points = [
+        ((m1, m2), form.exponent((m1, m2)))
+        for m1 in range(box) for m2 in range(box)
+        if form.allows(0, m1) and form.allows(1, m2)
+    ]
+    points = [(m, e) for m, e in points if e <= room]
+    budget = int(room)
+    rows = [[1] + [0] * budget]
+    for n in range(1, box):
+        row = rows[-1][:]
+        for j in range(n, budget + 1):
+            row[j] += row[j - n]
+        rows.append(row)
+    coeffs = {}
+    for (m1, m2), e in points:
+        start = (form.lead + e) * L
+        assert start.denominator == 1
+        for j1 in range(int(room - e) + 1):
+            for j2 in range(int(room - e) + 1 - j1):
+                k = int(start) + (j1 + j2) * L
+                coeffs[k] = coeffs.get(k, 0) + rows[m1][j1] * rows[m2][j2]
+    return QSeries(denom=L, coeffs=coeffs, order=order)
+
+
+_EXTRA_R2_FORMS = {
+    "negative b": FermionicForm(
+        A=RationalSymmetricMatrix(1, F(-1, 2), 1), B=(F(1, 2), F(1, 3))
+    ),
+    "d = 0, B2 > 0": FermionicForm(A=RationalSymmetricMatrix(1, F(1, 2), 0), B=(F(0), F(1))),
+    "negative lead": FermionicForm(
+        A=RationalSymmetricMatrix(1, F(1, 2), F(1, 2)), B=(F(1), F(1, 2)), lead=F(-7, 3)
+    ),
+    "mod-3 restriction": restricted_variant(FORMS["chi_4_5"], 0, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", ["chi_3_7", "chi_5_6", "chi_3_8", "chi_4_5", *_EXTRA_R2_FORMS])
+def test_two_variable_expansion_matches_per_point_reference(name):
+    form = FORMS.get(name) or _EXTRA_R2_FORMS[name]
+    for order in (1, F(23, 6), 12, 30):
+        assert expand(form, order) == _reference_expand(form, order), (name, order)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +268,18 @@ def test_expansion_matches_adaptive_eval_with_tail_bound():
         diff = full - qs24.eval_at(q)
         chunk = qs36.eval_at(q) - qs24.eval_at(q)
         assert -1e-13 <= diff <= 2 * chunk + 1e-13, name
+
+
+def test_eval_at_matches_long_expansion_for_small_q():
+    # At q <= 0.3 the order-240 truncation is exact to far below 1e-13,
+    # so it checks the adaptive tail test, including forms whose parity
+    # restriction leaves every other shell nearly empty.
+    for name, form in FORMS.items():
+        ref = expand(form, 240)
+        for i in range(5, 300):
+            q = i / 1000
+            want = ref.eval_at(q)
+            assert abs(eval_at(form, q) - want) <= 1e-13 * want, (name, q)
 
 
 def test_eval_at_matches_direct_partial_sum():
