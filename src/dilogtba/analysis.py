@@ -33,7 +33,7 @@ from fractions import Fraction
 from .algebraics import rational_sqrt
 from .dilog import rogers_L
 from .errors import RangeViolation, SingularMatrixError
-from .tba import RationalSymmetricMatrix, _as_fraction, check_range, delta_fn, kappa
+from .tba import _HALF, RationalSymmetricMatrix, _as_fraction, check_range, delta_fn, kappa
 
 __all__ = [
     "check_range",
@@ -47,8 +47,6 @@ __all__ = [
     "BoundsResult",
     "bounds_on_c",
 ]
-
-_HALF = Fraction(1, 2)
 
 # Safety margin for comparisons that involve kappa (binary64): a verdict
 # of "guaranteed" requires clearing the threshold by this much.

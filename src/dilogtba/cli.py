@@ -49,8 +49,11 @@ from .qseries import FORMS, FORM_SYSTEMS, estimate_ceff, expand
 from .search import (
     EXAMPLE_CONFIGS,
     SearchConfig,
+    _matches_json,
+    _matrix_json,
+    _measured,
+    _report_doc,
     dedupe_by_duality,
-    report_json,
     report_text,
     run_search,
 )
@@ -106,27 +109,6 @@ def _int_at_least(lowest: int):
     return parse
 
 
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def _measured(value: float, tol: float):
-    return {"value": value, "tol": tol}
-
-
-def _matrix_json(A: RationalSymmetricMatrix):
-    return {"a": _fr(A.a), "b": _fr(A.b), "d": _fr(A.d)}
-
-
-def _matches_json(m: ChargeMatch, tol: float):
-    return {
-        "minimal": list(m.minimal) if m.minimal is not None else None,
-        "parafermion": m.parafermion,
-        "rational": _fr(Fraction(*m.rational)) if m.rational is not None else None,
-        "residual": _measured(m.residual if math.isfinite(m.residual) else -1.0, tol),
-    }
-
-
 def _matches_text(m: ChargeMatch) -> str:
     kinds = m.ranked()
     if not kinds:
@@ -174,7 +156,7 @@ def _cmd_solve(args) -> int:
     if kind == "r1":
         sol = solve_r1(data)
         m = recognize(sol.c, tol=tol)
-        a_repr = "inf" if data == INFINITY else _fr(data)
+        a_repr = "inf" if data == INFINITY else str(data)
         lines = [
             f"rank-1 system, a = {a_repr}",
             f"x = {sol.x:.15f}",
@@ -330,12 +312,8 @@ def _cmd_search(args) -> int:
     rep = run_search(cfg)
     if args.dedupe:
         rep.admissible = dedupe_by_duality(rep.admissible)
-    if args.json:
-        doc = {"command": "search", "report": json.loads(report_json(rep, tol=cfg.tolerance))}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        header = [] if args.no_header else [f"dilogtba {__version__}"]
-        sys.stdout.write("\n".join(header + [report_text(rep)]))
+    doc = {"command": "search", "report": _report_doc(rep, cfg.tolerance)}
+    _emit(args, [report_text(rep).removesuffix("\n")], doc)
     return 0
 
 
@@ -368,10 +346,10 @@ def _cmd_verify_identities(args) -> int:
         if cross is not None:
             extra = (f"  cross-check c {cc.c_residual:.2e}"
                      f" coords {cc.coordinate_distance:.2e}")
-        lines.append(f"{entry.name:<24} target {_fr(entry.target):<6} residual {residual:.3e}  {tag}{extra}")
+        lines.append(f"{entry.name:<24} target {entry.target!s:<6} residual {residual:.3e}  {tag}{extra}")
         rows.append({
             "name": entry.name,
-            "target": _fr(entry.target),
+            "target": str(entry.target),
             "residual": _measured(residual, precision),
             "pass": ok,
             "cross_check": cross,
@@ -402,7 +380,7 @@ def _cmd_expand(args) -> int:
         "order": args.order,
         "denominator": series.denom,
         "coefficients": [
-            [_fr(Fraction(k, series.denom)), coeff]
+            [str(Fraction(k, series.denom)), coeff]
             for k, coeff in sorted(series.coeffs.items())
         ],
     }
@@ -430,8 +408,8 @@ def _cmd_ceff(args) -> int:
     }
     if expected is not None:
         dev = abs(est - float(expected))
-        lines.append(f"expected c = {_fr(expected)} (deviation {dev:.2e})")
-        doc["expected"] = _fr(expected)
+        lines.append(f"expected c = {expected} (deviation {dev:.2e})")
+        doc["expected"] = str(expected)
         doc["deviation"] = _measured(dev, 0.02)
     else:
         doc["expected"] = None
@@ -446,7 +424,9 @@ def _cmd_ceff(args) -> int:
 
 # tokens like "-3/2" are matrix entries, not option flags; argparse only
 # knows plain negative numbers, so widen its matcher to cover fractions
+# on the top-level parser and the subcommands that take entries or values
 _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+_NEGATIVE_ENTRY_COMMANDS = ("solve", "classify", "bounds", "dual", "recognize")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -473,12 +453,10 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Environment: DILOGTBA_TOL sets the default recognition tolerance.",
     )
     p.add_argument("--version", action="version", version=f"dilogtba {__version__}")
-    p._negative_number_matcher = _NEGATIVE_TOKEN
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", parents=[common, matrix],
                         help="solve the TBA system and recognize c")
-    sp._negative_number_matcher = _NEGATIVE_TOKEN
     sp.add_argument("--grid-n", type=_int_at_least(1001), default=100_000,
                     help="scan resolution (at least 1001)")
     sp.add_argument("--no-range-check", action="store_true",
@@ -487,24 +465,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", parents=[common, matrix],
                         help="exact classification of c against 1")
-    sp._negative_number_matcher = _NEGATIVE_TOKEN
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("bounds", parents=[common, matrix],
                         help="two-sided bounds on c (needs a >= d > 0)")
-    sp._negative_number_matcher = _NEGATIVE_TOKEN
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("dual", parents=[common, matrix],
                         help="dual matrix (1/4) A^{-1} and both c values")
-    sp._negative_number_matcher = _NEGATIVE_TOKEN
     sp.add_argument("--no-range-check", action="store_true",
                     help="solve the input matrix even when out of range")
     sp.set_defaults(func=_cmd_dual)
 
     sp = sub.add_parser("recognize", parents=[common],
                         help="match a value against the charge spectra")
-    sp._negative_number_matcher = _NEGATIVE_TOKEN
     sp.add_argument("value", help="decimal or fraction p/q")
     sp.add_argument("--max-st", type=int, default=200, help="largest |st| product")
     sp.add_argument("--max-n", type=int, default=60, help="largest parafermionic n")
@@ -545,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("expand", parents=[common],
                         help="exact q-expansion of a fermionic form")
     sp.add_argument("form", choices=sorted(FORMS), help="registered form name")
-    sp.add_argument("--order", type=int, default=20,
+    sp.add_argument("--order", type=_int_at_least(1), default=20,
                     help="expansion order in integer powers of q")
     sp.set_defaults(func=_cmd_expand)
 
@@ -556,6 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated ln(1/q) samples (default 0.20,0.12,0.07,0.04)")
     sp.set_defaults(func=_cmd_ceff)
 
+    for parser in (p, *(sub.choices[name] for name in _NEGATIVE_ENTRY_COMMANDS)):
+        parser._negative_number_matcher = _NEGATIVE_TOKEN
     return p
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NonTerminatingSeries, RangeViolation, TailBoundError
-from .tba import RationalSymmetricMatrix, _as_fraction, check_range
+from .tba import _HALF, RationalSymmetricMatrix, _as_fraction, check_range
 
 __all__ = [
     "FermionicForm",
@@ -491,7 +491,6 @@ def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> flo
 # catalog forms
 
 _F = Fraction
-_HALF = _F(1, 2)
 
 FORMS: dict[str, FermionicForm] = {
     # r = 1: effective charges 2/5, 1/2, 3/5

@@ -40,7 +40,7 @@ from .analysis import (
 )
 from .charges import ChargeMatch, recognize
 from .errors import ScanFailure, SingularMatrixError
-from .tba import INFINITY, RationalSymmetricMatrix, TbaSolution, _as_fraction, check_range, solve_r2
+from .tba import _HALF, RationalSymmetricMatrix, TbaSolution, _as_fraction, check_range, solve_r2
 
 __all__ = [
     "SearchConfig",
@@ -53,9 +53,6 @@ __all__ = [
     "report_json",
     "EXAMPLE_CONFIGS",
 ]
-
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -322,24 +319,31 @@ def report_text(report: SearchReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _measured(value: float, tol: float):
+    return {"value": value, "tol": tol}
+
+
 def _matrix_json(A: RationalSymmetricMatrix):
+    # str of a Fraction is "p/q", or "p" for an integer
     return {"a": str(A.a), "b": str(A.b), "d": str(A.d)}
 
 
-def _candidate_json(cand: Candidate, tol: float):
+def _matches_json(m: ChargeMatch, tol: float):
     # an empty match has residual infinity; JSON numbers cannot carry
     # that, so the schema encodes "no match" as -1.
-    residual = cand.matches.residual if math.isfinite(cand.matches.residual) else -1.0
+    return {
+        "minimal": list(m.minimal) if m.minimal is not None else None,
+        "parafermion": m.parafermion,
+        "rational": str(Fraction(*m.rational)) if m.rational is not None else None,
+        "residual": _measured(m.residual if math.isfinite(m.residual) else -1.0, tol),
+    }
+
+
+def _candidate_json(cand: Candidate, tol: float):
     out = {
         "matrix": _matrix_json(cand.A),
-        "c": {"value": cand.c, "tol": max(cand.solution.residual, 1e-15)},
-        "matches": {
-            "minimal": list(cand.matches.minimal) if cand.matches.minimal else None,
-            "parafermion": cand.matches.parafermion,
-            "rational": (f"{cand.matches.rational[0]}/{cand.matches.rational[1]}"
-                         if cand.matches.rational else None),
-            "residual": {"value": residual, "tol": tol},
-        },
+        "c": _measured(cand.c, max(cand.solution.residual, 1e-15)),
+        "matches": _matches_json(cand.matches, tol),
         "multiplicity": cand.solution.multiplicity,
         "classification": cand.prop_flags.classification.relation,
         "uniqueness_guarantee": cand.prop_flags.uniqueness_guarantee,
@@ -348,21 +352,20 @@ def _candidate_json(cand: Candidate, tol: float):
     if cand.prop_flags.bounds is not None:
         b = cand.prop_flags.bounds
         out["bounds"] = {
-            "lower": {"value": b.lower, "tol": 1e-12},
-            "upper": {"value": b.upper, "tol": 1e-12},
+            "lower": _measured(b.lower, 1e-12),
+            "upper": _measured(b.upper, 1e-12),
             "case": b.case_tag,
         }
     if cand.dual_partner is not None:
         out["dual"] = {
             "matrix": _matrix_json(cand.dual_partner),
-            "c": {"value": cand.dual_c, "tol": 1e-12},
+            "c": _measured(cand.dual_c, 1e-12),
         }
     return out
 
 
-def report_json(report: SearchReport, tol: float = 1e-9) -> str:
-    """JSON search report matching the shipped output schema."""
-    doc = {
+def _report_doc(report: SearchReport, tol: float):
+    return {
         "scanned": report.scanned,
         "pruned": report.pruned,
         "solved": report.solved,
@@ -371,7 +374,7 @@ def report_json(report: SearchReport, tol: float = 1e-9) -> str:
             {
                 **_candidate_json(c, tol),
                 "solutions": [
-                    {"x": {"value": x, "tol": 1e-12}, "y": {"value": y, "tol": 1e-12}}
+                    {"x": _measured(x, 1e-12), "y": _measured(y, 1e-12)}
                     for x, y in c.solution.interior
                 ],
             }
@@ -381,7 +384,11 @@ def report_json(report: SearchReport, tol: float = 1e-9) -> str:
             {"matrix": _matrix_json(A), "message": msg} for A, msg in report.failures
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def report_json(report: SearchReport, tol: float = 1e-9) -> str:
+    """JSON search report matching the shipped output schema."""
+    return json.dumps(_report_doc(report, tol), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # Example configurations; together they recover the full catalog of

@@ -15,8 +15,11 @@ For b != 0, eliminating x gives the one-variable equation f(y) = 1 with
 
 where the first term equals 1-x and the second equals x.  The solver
 scans f - 1 for sign changes on a dense grid of (0,1) and bisects each
-bracket, which also counts the solution multiplicity.  For b = 0 the
-system decouples into two r=1 problems.  Boundary fixed points (x,y) in
+bracket, which also counts the solution multiplicity.  One kernel
+evaluates the two terms for the grid scan (numpy), the bisection, the
+recovery of x and reduced_f (math); the four exponents are computed
+once per solve.  For b = 0 the system decouples into two r=1
+problems.  Boundary fixed points (x,y) in
 {(0,1), (1,0)} exist exactly when d = 0 (resp. a = 0) with b > 0; they
 are reported separately from interior solutions and are only promoted
 to principal when no interior solution exists.
@@ -200,6 +203,7 @@ def solve_r1(a) -> TbaSolution:
 
 
 def _exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float, float]:
+    """Exponents (p0, p1, p2, p3) of f(y) = y^p0 (1-y)^p1 + y^p2 (1-y)^p3."""
     b = A.b
     return (
         float(1 / (2 * b)),
@@ -207,6 +211,14 @@ def _exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float, float]:
         float(A.a / b),
         float(-2 * A.D / b),
     )
+
+
+def _terms(p, ly, l1y, exp):
+    """The two terms (1-x, x) of f, given ly = log y and l1y = log(1-y).
+
+    exp is np.exp on the scan grid and math.exp for a single point.
+    """
+    return exp(p[0] * ly + p[1] * l1y), exp(p[2] * ly + p[3] * l1y)
 
 
 def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
@@ -219,23 +231,14 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
         raise DomainError("reduced equation needs b != 0 (b = 0 decouples into r=1 problems)")
     if not (0.0 < y < 1.0):
         raise DomainError(f"reduced_f is defined on the open interval (0,1), got y={y}")
-    p1, p2, p3, p4 = _exponents(A)
-    ly, l1y = math.log(y), math.log1p(-y)
-    return math.exp(p1 * ly + p2 * l1y) + math.exp(p3 * ly + p4 * l1y)
+    one_minus_x, x = _terms(_exponents(A), math.log(y), math.log1p(-y), math.exp)
+    return one_minus_x + x
 
 
-_GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _grid_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    got = _GRID_CACHE.get(n)
-    if got is None:
-        y = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
-        got = (y, np.log(y), np.log1p(-y))
-        if len(_GRID_CACHE) > 8:
-            _GRID_CACHE.clear()
-        _GRID_CACHE[n] = got
-    return got
+    y = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
+    return y, np.log(y), np.log1p(-y)
 
 
 def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
@@ -251,12 +254,13 @@ def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
     return max(r1, r2)
 
 
-def _bisect_root(A: RationalSymmetricMatrix, lo: float, hi: float, glo: float, tol: float) -> float:
+def _bisect_root(p, lo: float, hi: float, glo: float, tol: float) -> float:
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi or hi - lo < tol:
             break
-        g = reduced_f(A, mid) - 1.0
+        one_minus_x, x = _terms(p, math.log(mid), math.log1p(-mid), math.exp)
+        g = one_minus_x + x - 1.0
         if g == 0.0:
             return mid
         if (g < 0.0) == (glo < 0.0):
@@ -317,10 +321,10 @@ def solve_r2(
         boundary.append((1.0, 0.0))
 
     # dense scan of f(y) - 1 for sign changes
-    p1, p2, p3, p4 = _exponents(A)
+    p = _exponents(A)
     y, ly, l1y = _grid_logs(grid_n)
     with np.errstate(over="ignore", under="ignore"):
-        g = np.exp(p1 * ly + p2 * l1y) + np.exp(p3 * ly + p4 * l1y) - 1.0
+        g = np.add(*_terms(p, ly, l1y, np.exp)) - 1.0
 
     roots: list[float] = []
     sign = np.sign(g)
@@ -329,15 +333,14 @@ def solve_r2(
         roots.append(float(y[k]))
     flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
     for k in flips:
-        roots.append(_bisect_root(A, float(y[k]), float(y[k + 1]), float(g[k]), tol))
+        roots.append(_bisect_root(p, float(y[k]), float(y[k + 1]), float(g[k]), tol))
     roots.sort()
 
     interior: list[tuple[float, float]] = []
     for yr in roots:
         if interior and abs(yr - interior[-1][1]) < 1e-10:
             continue
-        lyr, l1yr = math.log(yr), math.log1p(-yr)
-        xr = math.exp(p3 * lyr + p4 * l1yr)
+        xr = _terms(p, math.log(yr), math.log1p(-yr), math.exp)[1]
         if 0.0 < xr < 1.0:
             interior.append((xr, yr))
 

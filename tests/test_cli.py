@@ -174,6 +174,8 @@ def test_solve_scan_failure_exits_1():
     ["search", "--max-num", "0"],            # enumeration bounds must be >= 1
     ["search", "--max-den-entries", "0"],
     ["recognize", "0.5", "--max-den", "0"],
+    ["expand", "chi_2_5", "--order", "0"],   # order must be >= 1
+    ["expand", "chi_2_5", "--order", "-3"],
 ])
 def test_input_errors_exit_2(argv):
     code, _, _ = run_cli(argv)
@@ -310,6 +312,16 @@ def test_search_dedupe_flag(schema):
     assert len(deduped["report"]["admissible"]) <= len(plain["report"]["admissible"])
 
 
+def test_search_rational_match_encoded_like_solve(schema):
+    # both encoders write an integer rational as "1", not "1/1"
+    solved = run_json(["solve", "-A", "1/2", "1/2", "0", "--json"], schema)
+    doc = run_json(["search", "--max-den-entries", "2", "--max-num", "1", "--json"], schema)
+    found = [c for c in doc["report"]["admissible"]
+             if c["matrix"] == {"a": "1/2", "b": "1/2", "d": "0"}]
+    assert len(found) == 1
+    assert found[0]["matches"]["rational"] == solved["matches"]["rational"] == "1"
+
+
 def test_search_text_has_summary_header():
     code, out, _ = run_cli(["search", "--max-den-entries", "1", "--max-num", "2",
                             "--no-header"])
@@ -385,12 +397,6 @@ def test_expand_text_format():
     lines = out.splitlines()
     assert lines[0] == "form chi_2_5, order 3, exponent denominator 60"
     assert lines[1] == "11/60 1"
-
-
-def test_expand_order_validation():
-    code, _, err = run_cli(["expand", "chi_2_5", "--order", "0"])
-    assert code == 1
-    assert "order must be positive" in err
 
 
 def test_ceff_estimate_json(schema):

@@ -246,13 +246,32 @@ def test_grid_n_validation():
 
 
 def test_residuals_both_equations():
-    # residual covers both fixed-point equations, not just the reduced one
-    for entries in [(2, 1, 1), (4, F(5, 2), 2), (F(5, 4), 1, 1)]:
-        sol = solve_r2(M(*entries))
+    # residual covers both fixed-point equations, not just the reduced
+    # one, and every interior solution solves both, not only the principal:
+    # (1/20 19/20; 19/20 1/20) has three, and (1/4 1/4; 1/4 0) has one
+    # beside the boundary solution (0, 1)
+    cases = [
+        ((2, 1, 1), 1, ()),
+        ((4, F(5, 2), 2), 1, ()),
+        ((F(5, 4), 1, 1), 1, ()),
+        ((F(1, 20), F(19, 20), F(1, 20)), 3, ()),
+        ((F(1, 4), F(1, 4), 0), 1, ((0.0, 1.0),)),
+    ]
+    for entries, n_interior, boundary in cases:
+        A = M(*entries)
         a, b, d = (float(v) for v in entries)
-        r1 = abs(sol.x - (1 - sol.x) ** (2 * a) * (1 - sol.y) ** (2 * b))
-        r2 = abs(sol.y - (1 - sol.x) ** (2 * b) * (1 - sol.y) ** (2 * d))
-        assert max(r1, r2) <= max(sol.residual, 1e-15) * 1.5 + 1e-15
+
+        def residual(x, y):
+            r1 = abs(x - (1 - x) ** (2 * a) * (1 - y) ** (2 * b))
+            r2 = abs(y - (1 - x) ** (2 * b) * (1 - y) ** (2 * d))
+            return max(r1, r2)
+
+        sol = solve_r2(A)
+        assert len(sol.interior) == n_interior and sol.boundary == boundary, entries
+        assert residual(sol.x, sol.y) <= max(sol.residual, 1e-15) * 1.5 + 1e-15
+        for x, y in sol.interior:
+            assert residual(x, y) <= 1e-14, (entries, x, y)
+            assert abs(reduced_f(A, y) - 1.0) <= 1e-14, (entries, x, y)
 
 
 # ---------------------------------------------------------------------------
