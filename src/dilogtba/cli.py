@@ -13,18 +13,23 @@ switches to a JSON document that validates against the shipped schema
 "p/q", every inexact number as an object {"value": v, "tol": t}.
 
 Exit codes: 0 success, 1 computation failure (range violation, no
-solution found, failed identity, non-terminating series), 2 input
-error (unknown subcommand, malformed fraction, missing flag).
+solution found, failed identity, non-terminating series, float
+overflow), 2 input error (unknown subcommand, malformed fraction,
+missing flag, an option value outside its documented range).
 
 The environment variable DILOGTBA_TOL sets the default recognition
 tolerance (flag --tol overrides; built-in default 1e-9).  Both must be
-positive finite numbers; a bad value is an input error.
+positive finite numbers; a bad value is an input error.  The argument
+parser is built once per process for each DILOGTBA_TOL value and reused
+by every later parse_and_dispatch call, so a changed variable still
+takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -45,7 +50,7 @@ from .errors import (
     TailBoundError,
 )
 from .identities import cross_check_tba, load_catalog, parse_catalog, verify
-from .qseries import FORMS, FORM_SYSTEMS, estimate_ceff, expand
+from .qseries import FORMS, FORM_SYSTEMS, _ceff_samples, estimate_ceff, expand
 from .search import (
     EXAMPLE_CONFIGS,
     SearchConfig,
@@ -69,6 +74,9 @@ _COMPUTE_ERRORS = (
     NonTerminatingSeries,
     TailBoundError,
     CatalogError,
+    # rational input whose computation leaves the binary64 range, e.g.
+    # an entry of 1e400 or a b so small that exp(1/(2b)) overflows
+    OverflowError,
 )
 
 
@@ -83,17 +91,18 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise _InputError(f"malformed fraction for {what}: {text!r} ({exc})") from None
 
 
-def _positive_float(text: str) -> float:
+def _positive_float(source: str = ""):
     """argparse type for tolerances: a positive finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number (from the flag or DILOGTBA_TOL), got {text!r}"
-        )
-    return value
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a positive finite number{source}, got {text!r}")
+        return value
+    return parse
 
 
 def _int_at_least(lowest: int):
@@ -293,22 +302,25 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.config is not None:
-        cfg = EXAMPLE_CONFIGS[args.config]
-        if args.tol != cfg.tolerance:
-            cfg = dataclasses.replace(cfg, tolerance=args.tol)
-    else:
-        cfg = SearchConfig(
-            max_numerator=args.max_num,
-            max_denominator=args.max_den_entries,
-            entry_min=_parse_fraction(args.entry_min, "--entry-min") if args.entry_min else None,
-            entry_max=_parse_fraction(args.entry_max, "--entry-max") if args.entry_max else None,
-            tolerance=args.tol,
-            require_uniqueness=not args.keep_nonunique,
-            fix_d=_parse_fraction(args.fix_d, "--fix-d") if args.fix_d is not None else None,
-            a_eq_d=args.a_eq_d,
-            grid_n=args.grid_n,
-        )
+    try:
+        if args.config is not None:
+            cfg = EXAMPLE_CONFIGS[args.config]
+            if args.tol != cfg.tolerance:
+                cfg = dataclasses.replace(cfg, tolerance=args.tol)
+        else:
+            cfg = SearchConfig(
+                max_numerator=args.max_num,
+                max_denominator=args.max_den_entries,
+                entry_min=_parse_fraction(args.entry_min, "--entry-min") if args.entry_min else None,
+                entry_max=_parse_fraction(args.entry_max, "--entry-max") if args.entry_max else None,
+                tolerance=args.tol,
+                require_uniqueness=not args.keep_nonunique,
+                fix_d=_parse_fraction(args.fix_d, "--fix-d") if args.fix_d is not None else None,
+                a_eq_d=args.a_eq_d,
+                grid_n=args.grid_n,
+            )
+    except ValueError as exc:  # SearchConfig's own checks, e.g. the tolerance floor
+        raise _InputError(f"search: {exc}") from None
     rep = run_search(cfg)
     if args.dedupe:
         rep.admissible = dedupe_by_duality(rep.admissible)
@@ -393,6 +405,9 @@ def _cmd_ceff(args) -> int:
     if args.eps:
         try:
             eps = tuple(float(t) for t in args.eps.split(","))
+            _ceff_samples(eps)
+        except DomainError as exc:
+            raise _InputError(f"--eps {args.eps!r}: {exc}") from None
         except ValueError as exc:
             raise _InputError(f"malformed --eps list {args.eps!r} ({exc})") from None
     else:
@@ -429,16 +444,18 @@ _NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 _NEGATIVE_ENTRY_COMMANDS = ("solve", "classify", "bounds", "dual", "recognize")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # a string default goes through type= when the flag is absent, so a
-    # bad DILOGTBA_TOL is reported as an input error at parse time
-    default_tol = os.environ.get("DILOGTBA_TOL", "1e-9")
-
+@functools.lru_cache(maxsize=4)
+def _build_parser(default_tol: str) -> argparse.ArgumentParser:
+    # default_tol is the raw DILOGTBA_TOL text: a string default goes
+    # through type= on every parse that lacks the flag, so a bad value
+    # is reported as an input error at parse time, also from a cached
+    # parser
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--no-header", action="store_true",
                         help="suppress the version header on text output")
-    common.add_argument("--tol", type=_positive_float, default=default_tol,
+    common.add_argument("--tol", type=_positive_float(" (from the flag or DILOGTBA_TOL)"),
+                        default=default_tol,
                         help="recognition tolerance (default from DILOGTBA_TOL or 1e-9)")
 
     matrix = argparse.ArgumentParser(add_help=False)
@@ -508,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-identities", parents=[common],
                         help="verify the two-term dilogarithm identity catalog")
-    sp.add_argument("--precision", type=float, default=1e-12,
+    sp.add_argument("--precision", type=_positive_float(), default=1e-12,
                     help="required residual bound (below 1e-13 switches to mpmath)")
     sp.add_argument("--catalog", default=None, metavar="PATH",
                     help="catalog file (default: the shipped catalog)")
@@ -537,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_and_dispatch(argv: list[str]) -> int:
     """Parse argv (without the program name) and run one subcommand."""
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("DILOGTBA_TOL", "1e-9"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

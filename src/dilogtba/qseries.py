@@ -464,12 +464,11 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     )
 
 
-def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> float:
-    """Extrapolated effective central charge from the q -> 1 growth.
+def _ceff_samples(eps_list) -> list[float]:
+    """The distinct eps values of estimate_ceff, descending.
 
-    For each eps, s(eps) = (6 eps / pi^2) ln chi(e^-eps); a linear
-    least-squares fit in eps is extrapolated to eps = 0.  Requires at
-    least 3 distinct eps values in (0.02, 0.3).
+    Raises DomainError unless there are at least 3 and all lie in
+    (0.02, 0.3).
     """
     eps = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps) < 3:
@@ -477,6 +476,17 @@ def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> flo
     for e in eps:
         if not (0.02 < e < 0.3):
             raise DomainError(f"eps values must lie in (0.02, 0.3), got {e}")
+    return eps
+
+
+def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> float:
+    """Extrapolated effective central charge from the q -> 1 growth.
+
+    For each eps, s(eps) = (6 eps / pi^2) ln chi(e^-eps); a linear
+    least-squares fit in eps is extrapolated to eps = 0.  Requires at
+    least 3 distinct eps values in (0.02, 0.3).
+    """
+    eps = _ceff_samples(eps_list)
     s_vals = []
     for e in eps:
         val = eval_at(form, math.exp(-e))

@@ -18,7 +18,12 @@ scans f - 1 for sign changes on a dense grid of (0,1) and bisects each
 bracket, which also counts the solution multiplicity.  One kernel
 evaluates the two terms for the grid scan (numpy), the bisection, the
 recovery of x and reduced_f (math); the four exponents are computed
-once per solve.  For b = 0 the system decouples into two r=1
+once per solve.  The scan is allocation-light: the kernel updates its
+two exponent arrays in place (exp included), f - 1 is formed in one of
+them, and sign changes come from two boolean masks, so a scan makes
+four grid-sized float arrays (two of them short-lived products) where
+the plain expression with np.sign made about a dozen, with
+bit-identical values.  For b = 0 the system decouples into two r=1
 problems.  Boundary fixed points (x,y) in
 {(0,1), (1,0)} exist exactly when d = 0 (resp. a = 0) with b > 0; they
 are reported separately from interior solutions and are only promoted
@@ -138,7 +143,7 @@ class TbaSolution:
 # kappa and delta
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _kappa_cached(t: Fraction | float) -> float:
     tf = float(t)
     # g(xi) = ln xi - 2t ln(1-xi) is strictly increasing with g(0+) = -inf
@@ -216,9 +221,20 @@ def _exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float, float]:
 def _terms(p, ly, l1y, exp):
     """The two terms (1-x, x) of f, given ly = log y and l1y = log(1-y).
 
-    exp is np.exp on the scan grid and math.exp for a single point.
+    exp is math.exp for a single point and _exp_in_place on the scan
+    grid, where the augmented assignments then work in place.  Either
+    way the operations and their order are those of
+    exp(p0 ly + p1 l1y), exp(p2 ly + p3 l1y), so values are bit-identical.
     """
-    return exp(p[0] * ly + p[1] * l1y), exp(p[2] * ly + p[3] * l1y)
+    u = ly * p[0]
+    u += l1y * p[1]
+    w = ly * p[2]
+    w += l1y * p[3]
+    return exp(u), exp(w)
+
+
+def _exp_in_place(a: np.ndarray) -> np.ndarray:
+    return np.exp(a, out=a)
 
 
 def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
@@ -324,14 +340,14 @@ def solve_r2(
     p = _exponents(A)
     y, ly, l1y = _grid_logs(grid_n)
     with np.errstate(over="ignore", under="ignore"):
-        g = np.add(*_terms(p, ly, l1y, np.exp)) - 1.0
+        one_minus_x, g = _terms(p, ly, l1y, _exp_in_place)
+        g += one_minus_x
+        g -= 1.0
 
-    roots: list[float] = []
-    sign = np.sign(g)
-    hits = np.nonzero(sign == 0.0)[0]
-    for k in hits:
-        roots.append(float(y[k]))
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    # an exact zero is a root, not a flip; a NaN is neither
+    roots = [float(y[k]) for k in np.flatnonzero(g == 0.0)]
+    pos, neg = g > 0.0, g < 0.0
+    flips = np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
     for k in flips:
         roots.append(_bisect_root(p, float(y[k]), float(y[k + 1]), float(g[k]), tol))
     roots.sort()

@@ -8,7 +8,8 @@ PATH; the other runs ``python -m dilogtba.cli --version``.  Both
 children import the same dilogtba source tree as the in-process tests.
 Every JSON document emitted on a success path is validated against the
 shipped output schema, and the exit-code contract (0 success, 1
-computation failure, 2 input error) is pinned case by case.
+computation failure, 2 input error) is pinned case by case and fuzzed
+with hypothesis.
 """
 
 import io
@@ -19,11 +20,14 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dilogtba
+from dilogtba import cli
 from dilogtba.cli import parse_and_dispatch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -176,10 +180,17 @@ def test_solve_scan_failure_exits_1():
     ["recognize", "0.5", "--max-den", "0"],
     ["expand", "chi_2_5", "--order", "0"],   # order must be >= 1
     ["expand", "chi_2_5", "--order", "-3"],
+    ["ceff-estimate", "chi_2_5", "--eps", "0.5,0.2,0.1"],  # eps outside (0.02, 0.3)
+    ["ceff-estimate", "chi_2_5", "--eps", "0.2,0.2,0.1"],  # fewer than 3 distinct
+    ["verify-identities", "--precision", "0"],  # precision must be positive, finite
+    ["verify-identities", "--precision", "-1"],
+    ["verify-identities", "--precision", "nan"],
+    ["search", "--tol", "1e-12"],            # below the search solver floor
 ])
 def test_input_errors_exit_2(argv):
-    code, _, _ = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert code == 2, argv
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("env_tol", ["abc", "0", "inf"])
@@ -192,6 +203,58 @@ def test_bad_tolerance_environment_exits_2(env_tol, monkeypatch):
     # an explicit flag overrides the environment
     code, _, _ = run_cli(["recognize", "0.5", "--tol", "1e-9"])
     assert code == 0
+
+
+def test_cached_parser_follows_the_tolerance_environment(monkeypatch):
+    # the parser is built once per DILOGTBA_TOL value; each call must
+    # still see the value set at that moment, and a bad one exit 2
+    argv = ["recognize", "0.5714295714285714", "--max-den", "100", "--json"]
+    for env_tol, tol, minimal in [("1e-5", 1e-5, [2, 7]), ("1e-12", 1e-12, None),
+                                  (None, 1e-9, None), ("1e-5", 1e-5, [2, 7])]:
+        if env_tol is None:
+            monkeypatch.delenv("DILOGTBA_TOL", raising=False)
+        else:
+            monkeypatch.setenv("DILOGTBA_TOL", env_tol)
+        code, out, err = run_cli(argv)
+        assert code == 0, (env_tol, err)
+        doc = json.loads(out)
+        assert doc["value"]["tol"] == tol
+        assert doc["matches"]["minimal"] == minimal
+    monkeypatch.setenv("DILOGTBA_TOL", "abc")
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "DILOGTBA_TOL" in err
+    hits = cli._build_parser.cache_info().hits
+    monkeypatch.delenv("DILOGTBA_TOL")
+    assert run_cli(argv)[0] == 0
+    assert cli._build_parser.cache_info().hits == hits + 1
+
+
+def test_failed_requests_leave_the_parser_intact():
+    good = ["solve", "-A", "1", "1/2", "1/2", "--json"]
+    reference = run_cli(good)
+    assert reference[0] == 0
+    for bad in (["ceff-estimate", "chi_2_5", "--eps", "0.5,0.2,0.1"],
+                ["solve", "-A", "1", "1/2", "1/2", "--grid-n", "10"],
+                ["solve", "-A", "1", "q", "1"]):
+        code, out, err = run_cli(bad)
+        assert code == 2 and out == "", bad
+        assert run_cli(good) == reference
+    # an --eps outside the window is reported on one line
+    _, _, err = run_cli(["ceff-estimate", "chi_2_5", "--eps", "0.5,0.2,0.1"])
+    assert err.count("\n") == 1 and "eps values must lie in" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "-A", "1e400", "1", "1"],
+    ["solve", "-A", "1", "1/1000000000000000000000000000000000", "1"],
+    ["dual", "-A", "1e300", "1", "1e300"],
+])
+def test_overflowing_computation_exits_1(argv):
+    # exact rational input whose solve leaves the binary64 range
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: OverflowError") and "Traceback" not in err
 
 
 def test_negative_fraction_matrix_entries_parse():
@@ -411,10 +474,93 @@ def test_ceff_custom_eps(schema):
     assert doc["eps"] == [0.25, 0.15, 0.08]
 
 
-def test_ceff_eps_out_of_window_exits_1():
-    code, _, err = run_cli(["ceff-estimate", "chi_2_5", "--eps", "0.5,0.2,0.1"])
-    assert code == 1
-    assert "eps values must lie in" in err
+# ---------------------------------------------------------------------------
+# fuzzing the exit contract
+
+# each subcommand's own flags; every subcommand also takes --json,
+# --no-header and --tol
+_FUZZ_COMMAND_FLAGS = {
+    "solve": ["-A", "--scale", "--grid-n", "--no-range-check"],
+    "classify": ["-A", "--scale"],
+    "bounds": ["-A", "--scale"],
+    "dual": ["-A", "--scale", "--no-range-check"],
+    "recognize": ["--max-st", "--max-n", "--max-den"],
+    "search": ["--config", "--max-den-entries", "--max-num", "--entry-min", "--entry-max",
+               "--fix-d", "--a-eq-d", "--keep-nonunique", "--grid-n", "--dedupe"],
+    "verify-identities": ["--precision", "--catalog", "--cross-check"],
+    "expand": ["--order"],
+    "ceff-estimate": ["--eps"],
+}
+_FUZZ_COMMON_FLAGS = ["--json", "--no-header", "--tol"]
+_FUZZ_SWITCHES = {"--json", "--no-header", "--no-range-check", "--a-eq-d",
+                  "--keep-nonunique", "--dedupe", "--cross-check"}
+_FUZZ_FLAGS = sorted({f for flags in _FUZZ_COMMAND_FLAGS.values() for f in flags}
+                     | {*_FUZZ_COMMON_FLAGS, "--version", "--help"})
+_FUZZ_ENTRIES = ["0", "1", "2", "4", "-1", "1/2", "-1/2", "3/4", "-3/2", "1/20",
+                 "19/20", "1/0", "1e400", "inf"]
+_FUZZ_VALUES = _FUZZ_ENTRIES + [
+    "0.5", "-0.25", "1e-9", "1e-5", "1e-40", "nan", "-inf", "1001", "20001",
+    "0.2,0.12,0.07", "0.5,0.2,0.1", "chi_2_5", "chi_3_7",
+]
+_FUZZ_JUNK = ["", "x", "-", "--", "q/3", "1//2", "--bogus"]
+
+
+def _command_line(command, positional, entries, options):
+    argv = [command, *positional]
+    if entries:
+        argv += ["-A", *entries]
+    for flag, value in options:
+        argv += [flag] if flag in _FUZZ_SWITCHES else [flag, value]
+    return argv
+
+
+def _fuzz_command_line(command):
+    flags = _FUZZ_COMMAND_FLAGS[command]
+    positional = {"recognize": _FUZZ_VALUES,
+                  "expand": ["chi_2_5", "chi_3_7", "x"],
+                  "ceff-estimate": ["chi_2_5", "chi_3_7", "x"]}.get(command)
+    return st.builds(
+        _command_line,
+        st.just(command),
+        st.lists(st.sampled_from(positional), min_size=1, max_size=1) if positional
+        else st.just([]),
+        st.lists(st.sampled_from(_FUZZ_ENTRIES), min_size=1, max_size=3) if "-A" in flags
+        else st.just([]),
+        st.lists(st.tuples(st.sampled_from(flags + _FUZZ_COMMON_FLAGS),
+                           st.sampled_from(_FUZZ_VALUES)), max_size=3),
+    )
+
+
+_fuzz_token = (st.sampled_from([*_FUZZ_COMMAND_FLAGS, *_FUZZ_FLAGS, *_FUZZ_VALUES, *_FUZZ_JUNK])
+               | st.text(max_size=6))
+# free token lists, and command lines built from one subcommand's flags
+_fuzz_argv = (st.lists(_fuzz_token, max_size=8)
+              | st.sampled_from(sorted(_FUZZ_COMMAND_FLAGS)).flatmap(_fuzz_command_line))
+
+# a search or expand the fuzzer can reach runs in milliseconds: these
+# flags are appended last, so they win over any drawn value
+_FUZZ_CAPS = {
+    "search": ["--max-num", "2", "--max-den-entries", "2"],
+    "expand": ["--order", "30"],
+}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    argv=_fuzz_argv,
+    env_tol=st.none() | st.sampled_from(["1e-9", "1e-5", "1e-12", "abc", "0", "nan", ""]),
+)
+def test_fuzzed_argv_keeps_the_exit_contract(argv, env_tol):
+    for command, caps in _FUZZ_CAPS.items():
+        if command in argv:
+            argv = argv + caps
+    env = {} if env_tol is None else {"DILOGTBA_TOL": env_tol}
+    with mock.patch.dict(os.environ, env):
+        if env_tol is None:
+            os.environ.pop("DILOGTBA_TOL", None)
+        code, _, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, env_tol, code)
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

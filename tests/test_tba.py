@@ -274,6 +274,100 @@ def test_residuals_both_equations():
             assert abs(reduced_f(A, y) - 1.0) <= 1e-14, (entries, x, y)
 
 
+# float.hex of every solution, recorded before the grid scan evaluated
+# the kernel in place; a scan or bisection change that moves a root by
+# one ulp fails here.  Rows: entries, grid_n, multiplicity, c, interior
+# (x, y) ascending in y, boundary.  The first two have three roots and
+# an interior root beside the boundary (0, 1); (1 -1/2; -1/2 1),
+# (4 -3/2; -3/2 2) and (1 -1/20; -1/20 40) have b < 0; both terms of
+# (1 1/10; 1/10 10) and (1/2 1/20; 1/20 20) overflow near y = 1; the
+# last has only the boundary solution.
+_RECORDED_SOLUTIONS = [
+    (("1/20", "19/20", "1/20"), 20_001, 3, "0x1.a58743dd955a0p-1", [
+        ("0x1.86a3820659dfcp-1", "0x1.080051164f3fep-4"),
+        ("0x1.8722191a02d82p-2", "0x1.8722191a02d44p-2"),
+        ("0x1.080051164f354p-4", "0x1.86a3820659e12p-1"),
+    ], []),
+    (("1/20", "19/20", "1/20"), 100_000, 3, "0x1.a58743dd9558ep-1", [
+        ("0x1.86a3820659e26p-1", "0x1.080051164f28ep-4"),
+        ("0x1.8722191a02da5p-2", "0x1.8722191a02d24p-2"),
+        ("0x1.080051164f344p-4", "0x1.86a3820659e16p-1"),
+    ], []),
+    (("1/4", "1/4", "0"), 20_001, 1, "0x1.2492492492492p+0", [
+        ("0x1.6d761c42b2c44p-2", "0x1.9a9795396b8dep-1"),
+    ], [(0.0, 1.0)]),
+    (("1/4", "1/4", "0"), 100_000, 1, "0x1.249249249248ap+0", [
+        ("0x1.6d761c42b2c5ep-2", "0x1.9a9795396b8c2p-1"),
+    ], [(0.0, 1.0)]),
+    (("1", "-1/2", "1"), 20_001, 1, "0x1.0000000000000p+0", [
+        ("0x1.0000000000001p-1", "0x1.0000000000000p-1"),
+    ], []),
+    (("1", "-1/2", "1"), 100_000, 1, "0x1.0000000000000p+0", [
+        ("0x1.0000000000001p-1", "0x1.0000000000000p-1"),
+    ], []),
+    (("4", "-3/2", "2"), 20_001, 1, "0x1.727cfd98c6aa5p-1", [
+        ("0x1.2706007dbb313p-2", "0x1.8d8dacd343c4ep-2"),
+    ], []),
+    (("4", "-3/2", "2"), 100_000, 1, "0x1.727cfd98c6af4p-1", [
+        ("0x1.2706007dbb3e7p-2", "0x1.8d8dacd343c28p-2"),
+    ], []),
+    (("1", "-1/20", "40"), 20_001, 1, "0x1.dc48529812ee6p-2", [
+        ("0x1.87d8f903cdca4p-2", "0x1.47c838d5aea6cp-5"),
+    ], []),
+    (("1", "-1/20", "40"), 100_000, 1, "0x1.dc4852981ee31p-2", [
+        ("0x1.87d8f903dbc80p-2", "0x1.47c838d5ae842p-5"),
+    ], []),
+    (("2", "1", "1"), 20_001, 1, "0x1.2492492492471p-1", [
+        ("0x1.95a1ab1a51c1bp-3", "0x1.3b5eb92ce031ep-2"),
+    ], []),
+    (("2", "1", "1"), 100_000, 1, "0x1.2492492492498p-1", [
+        ("0x1.95a1ab1a51c88p-3", "0x1.3b5eb92ce033cp-2"),
+    ], []),
+    (("1", "1/2", "1/2"), 20_001, 1, "0x1.7ffffffffffdap-1", [
+        ("0x1.2bec33301882ep-2", "0x1.a827999fcef14p-2"),
+    ], []),
+    (("1", "1/2", "1/2"), 100_000, 1, "0x1.8000000000004p-1", [
+        ("0x1.2bec33301886ep-2", "0x1.a827999fcef36p-2"),
+    ], []),
+    (("4/3", "1/6", "1/3"), 20_001, 1, "0x1.b6db6db6db776p-1", [
+        ("0x1.32f92d684bb70p-2", "0x1.1155ab70e590ap-1"),
+    ], []),
+    (("4/3", "1/6", "1/3"), 100_000, 1, "0x1.b6db6db6db7e0p-1", [
+        ("0x1.32f92d684bc46p-2", "0x1.1155ab70e5918p-1"),
+    ], []),
+    (("1", "1/10", "10"), 20_001, 1, "0x1.129e031a958fbp-1", [
+        ("0x1.8353decc55d0ap-2", "0x1.a6663860a150ap-4"),
+    ], []),
+    (("1", "1/10", "10"), 100_000, 1, "0x1.129e031a9446cp-1", [
+        ("0x1.8353decc52d91p-2", "0x1.a6663860a1378p-4"),
+    ], []),
+    (("1/2", "1/20", "20"), 20_001, 1, "0x1.302fc09bd60b6p-1", [
+        ("0x1.fe4a6d6ec04e6p-2", "0x1.088dbba04b004p-4"),
+    ], []),
+    (("1/2", "1/20", "20"), 100_000, 1, "0x1.302fc09bd72eap-1", [
+        ("0x1.fe4a6d6ec2fe1p-2", "0x1.088dbba04b09cp-4"),
+    ], []),
+    (("1/2", "1/2", "0"), 20_001, 1, "0x1.0000000000000p+0", [
+    ], [(0.0, 1.0)]),
+    (("1/2", "1/2", "0"), 100_000, 1, "0x1.0000000000000p+0", [
+    ], [(0.0, 1.0)]),
+]
+
+
+@pytest.mark.parametrize("entries, grid_n, multiplicity, c, interior, boundary",
+                         _RECORDED_SOLUTIONS)
+def test_solve_r2_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
+                                            interior, boundary):
+    sol = solve_r2(M(*entries), grid_n=grid_n)
+    got = [(x.hex(), y.hex()) for x, y in sol.interior]
+    assert got == interior
+    assert list(sol.boundary) == boundary
+    assert sol.multiplicity == multiplicity
+    assert sol.c.hex() == c
+    principal = interior[0] if interior else tuple(v.hex() for v in boundary[0])
+    assert (sol.x.hex(), sol.y.hex()) == principal
+
+
 # ---------------------------------------------------------------------------
 # independent oracle: damped fixed-point iteration
 
