@@ -222,19 +222,20 @@ def bounds_on_c(A: RationalSymmetricMatrix) -> BoundsResult:
     branch, whose formulas stay finite there.
     """
     _require_range(A, "bounds_on_c")
-    a, b, d = A.a, A.b, A.d
+    a, b, d, m = A.integers  # a, b, d over the common denominator m
     if not (a >= d > 0):
         raise RangeViolation(f"bounds_on_c requires a >= d > 0, got {A}")
+    D = a * d - b * b  # m^2 times the determinant
     if b < 0:
-        t = A.D / (a - b)
-        lower = delta_fn(a + b) + delta_fn(t)
-        upper = 2.0 * delta_fn(b + d)
+        t = Fraction(D, m * (a - b))
+        lower = delta_fn(Fraction(a + b, m)) + delta_fn(t)
+        upper = 2.0 * delta_fn(Fraction(b + d, m))
         return BoundsResult(lower=lower, upper=upper, case_tag="b<0")
     if d <= b:
-        lower = delta_fn(b + d) + rogers_L(kappa(d) ** float((a + b) / d))
-        upper = delta_fn(a + b) + delta_fn(d)
+        lower = delta_fn(Fraction(b + d, m)) + rogers_L(kappa(A.d) ** ((a + b) / d))
+        upper = delta_fn(Fraction(a + b, m)) + delta_fn(A.d)
         return BoundsResult(lower=lower, upper=upper, case_tag="d<=b")
-    t = A.D / (a - b)
-    lower = delta_fn(b + d) + rogers_L(kappa(t) ** float((a + b) * (a - b) / A.D))
-    upper = delta_fn(a + b) + delta_fn(t)
+    t = Fraction(D, m * (a - b))
+    lower = delta_fn(Fraction(b + d, m)) + rogers_L(kappa(t) ** ((a + b) * (a - b) / D))
+    upper = delta_fn(Fraction(a + b, m)) + delta_fn(t)
     return BoundsResult(lower=lower, upper=upper, case_tag="d>=b>0")

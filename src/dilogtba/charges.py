@@ -13,15 +13,22 @@ the minimal match minimizes |s t|, the parafermionic match minimizes n,
 and (s, t) is normalized so that 0 < s <= |t| with the sign carried by
 t, s being the largest divisor of |s t| below the square root that is
 coprime to its cofactor.
+
+The minimal and parafermionic values up to (max_st, max_n) form one
+sorted Spectrum, built once per bound pair.  recognize reads its
+candidates from the Spectrum by bisection, and the search's bounds
+prune asks the same Spectrum whether an interval meets it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-__all__ = ["ChargeMatch", "recognize"]
+__all__ = ["ChargeMatch", "Spectrum", "recognize", "spectrum"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,39 @@ def _balanced_coprime_split(n: int) -> tuple[int, int]:
     return best, n // best
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """The minimal and parafermionic charge values, ascending, with labels.
+
+    values  1 - 6/n and 1 + 6/n for n = 2 .. max_st, and 2(n-1)/(n+2)
+            for n = 2 .. max_n, each computed by the expression
+            recognize measures its errors with
+    labels  n for a minimal value, -n for a parafermionic one
+    """
+
+    values: tuple[float, ...]
+    labels: tuple[int, ...]
+
+    def meets(self, lo: float, hi: float) -> bool:
+        """Whether some value lies in [lo, hi]."""
+        i = bisect_left(self.values, lo)
+        return i < len(self.values) and self.values[i] <= hi
+
+
+@lru_cache(maxsize=8)
+def spectrum(max_st: int, max_n: int) -> Spectrum:
+    """The Spectrum for the given bounds, built once per (max_st, max_n).
+
+    It holds 2 (max_st - 1) + max_n - 1 values: 457 for the defaults
+    (200, 60).
+    """
+    entries = [(1.0 - 6.0 / n, n) for n in range(2, max_st + 1)]
+    entries += [(1.0 + 6.0 / n, n) for n in range(2, max_st + 1)]
+    entries += [(2.0 * (n - 1) / (n + 2), -n) for n in range(2, max_n + 1)]
+    entries.sort()
+    return Spectrum(tuple(v for v, _ in entries), tuple(n for _, n in entries))
+
+
 def recognize(
     c: float,
     tol: float = 1e-9,
@@ -76,38 +116,42 @@ def recognize(
 ) -> ChargeMatch:
     """Match c (expected in [0, 2]) against the three charge families.
 
-    The minimal-model scan tries |st| = 2 .. max_st with both signs and
-    keeps the smallest |st| within tol; the parafermionic scan tries
-    n = 2 .. max_n; the rational match uses the best fraction with
-    denominator <= max_den.  Nothing matching leaves the corresponding
-    field None; residual is the best error over the matches found.
+    The minimal-model match is the smallest |st| in 2 .. max_st with
+    1 - 6/st or 1 + 6/st within tol, the sign going to the closer one;
+    the parafermionic match is the smallest n in 2 .. max_n within tol;
+    the rational match uses the best fraction with denominator <=
+    max_den.  Nothing matching leaves the corresponding field None;
+    residual is the best error over the matches found.
+
+    Candidates come from the spectrum(max_st, max_n) values in
+    [c - 2 tol, c + 2 tol]; the doubled window cannot miss a value
+    whose rounded error is within tol.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    table = spectrum(max_st, max_n)
+    lo = bisect_left(table.values, c - 2.0 * tol)
+    hi = bisect_right(table.values, c + 2.0 * tol)
+    near = [table.labels[i] for i in range(lo, hi) if abs(c - table.values[i]) <= tol]
     errors = []
 
     minimal = None
-    for n in range(2, max_st + 1):
-        err_pos = abs(c - (1.0 - 6.0 / n))
-        err_neg = abs(c - (1.0 + 6.0 / n))
-        if err_pos <= tol or err_neg <= tol:
-            s, t = _balanced_coprime_split(n)
-            if err_neg < err_pos:
-                minimal = (s, -t)
-                errors.append(err_neg)
-            else:
-                minimal = (s, t)
-                errors.append(err_pos)
-            break
+    st = min((n for n in near if n > 0), default=None)
+    if st is not None:
+        err_pos = abs(c - (1.0 - 6.0 / st))
+        err_neg = abs(c - (1.0 + 6.0 / st))
+        s, t = _balanced_coprime_split(st)
+        if err_neg < err_pos:
+            minimal = (s, -t)
+            errors.append(err_neg)
+        else:
+            minimal = (s, t)
+            errors.append(err_pos)
 
-    parafermion = None
-    for n in range(2, max_n + 1):
-        err = abs(c - 2.0 * (n - 1) / (n + 2))
-        if err <= tol:
-            parafermion = n
-            errors.append(err)
-            break
+    parafermion = min((-n for n in near if n < 0), default=None)
+    if parafermion is not None:
+        errors.append(abs(c - 2.0 * (parafermion - 1) / (parafermion + 2)))
 
     rational = None
     fr = Fraction(c).limit_denominator(max_den)

@@ -497,8 +497,8 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     sp = sub.add_parser("recognize", parents=[common],
                         help="match a value against the charge spectra")
     sp.add_argument("value", help="decimal or fraction p/q")
-    sp.add_argument("--max-st", type=int, default=200, help="largest |st| product")
-    sp.add_argument("--max-n", type=int, default=60, help="largest parafermionic n")
+    sp.add_argument("--max-st", type=_int_at_least(1), default=200, help="largest |st| product")
+    sp.add_argument("--max-n", type=_int_at_least(1), default=60, help="largest parafermionic n")
     sp.add_argument("--max-den", type=_int_at_least(1), default=10_000,
                     help="largest denominator for plain-rational matches")
     sp.set_defaults(func=_cmd_recognize)

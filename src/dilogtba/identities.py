@@ -350,7 +350,7 @@ def verify(entry: IdentityEntry, precision: float = 1e-12) -> float:
     precision switches to mpmath with enough working digits to make the
     requested residual resolvable.
     """
-    if precision <= 0:
+    if not (precision > 0):
         raise ValueError(f"precision must be positive, got {precision}")
     if precision >= 1e-13:
         args = entry.arguments("float")

@@ -4,16 +4,20 @@ Matrices A = ((a, b), (b, d)) are enumerated over exact fractions with
 bounded numerator and denominator, canonicalized to a >= d, and pushed
 through a cheap-to-expensive pipeline:
 
-    entry range check (exact)
-    -> classification of c vs 1 (exact, recorded)
-    -> two-sided bounds vs the recognition spectra (prune, d > 0 only)
+    entry range check and orientation (exact, on integer numerators
+       over one common denominator; only matrices in range are built)
+    -> two-sided bounds vs the spectrum table (prune, d > 0 only)
     -> solve the TBA system (grid scan + bisection)
     -> recognize c against minimal / parafermionic / rational spectra
+    -> for kept candidates only: classification of c vs 1 and the
+       uniqueness guarantee (exact, recorded)
 
-Matrices whose scan finds several interior solutions go to a separate
-"nonunique" section (all solutions listed) instead of the admissible
-list when require_uniqueness is set.  Solver failures are recorded per
-matrix, never fatal.  Candidates whose best match residual exceeds
+The prune and the recognition read the same table of minimal and
+parafermionic values (charges.spectrum), built once per
+(max_st, max_n).  Matrices whose scan finds several interior solutions
+go to a separate "nonunique" section (all solutions listed) instead of
+the admissible list when require_uniqueness is set.  Solver failures
+are recorded per matrix, never fatal.  Candidates whose best match residual exceeds
 1e-9 are re-solved on a finer grid before acceptance and flagged
 suspect.  Results are deterministic and ordered by (largest entry
 denominator, a, d, b).
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -38,9 +43,9 @@ from .analysis import (
     dual,
     uniqueness_guarantee,
 )
-from .charges import ChargeMatch, recognize
+from .charges import ChargeMatch, recognize, spectrum
 from .errors import ScanFailure, SingularMatrixError
-from .tba import _HALF, RationalSymmetricMatrix, TbaSolution, _as_fraction, check_range, solve_r2
+from .tba import RationalSymmetricMatrix, TbaSolution, _as_fraction, solve_r2
 
 __all__ = [
     "SearchConfig",
@@ -150,58 +155,57 @@ class SearchReport:
         return len(self.admissible)
 
 
-def _recognition_targets(cfg: SearchConfig) -> list[float]:
-    """The discrete minimal and parafermionic spectra within [0, 2]."""
-    targets = set()
-    for n in range(2, cfg.max_st + 1):
-        for c in (1.0 - 6.0 / n, 1.0 + 6.0 / n):
-            if 0.0 <= c <= 2.0:
-                targets.add(c)
-    for n in range(2, cfg.max_n + 1):
-        targets.add(2.0 * (n - 1) / (n + 2))
-    return sorted(targets)
+def _entries(cfg: SearchConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Entries (a, b, d) of the in-range matrices, a >= d, in report order.
 
+    Entries are compared as integer numerators over one common
+    denominator, in the range test a, d >= 0, b >= -d (which is
+    b >= -min(a, d) here) and in the sort key.
+    """
+    values = cfg.entry_values()
+    fixed = [] if cfg.fix_d is None else [cfg.fix_d]
+    m = math.lcm(*(v.denominator for v in values + fixed))
 
-def _order_key(A: RationalSymmetricMatrix):
-    return (A.max_denominator(), A.a, A.d, A.b)
+    def scaled(vs):
+        return [(v, v.numerator * (m // v.denominator)) for v in vs]
+
+    a_values = scaled(values)
+    d_values = scaled(fixed) if fixed else a_values
+    b_values = scaled(sorted(set(values) | {-v for v in values}))
+    b_nums = [n for _, n in b_values]
+
+    keyed = []
+    for a, an in a_values:
+        for d, dn in [(a, an)] if cfg.a_eq_d else d_values:
+            if not 0 <= dn <= an:
+                continue  # d < 0, or not in the canonical orientation a >= d
+            for b, bn in b_values[bisect_left(b_nums, -dn):]:
+                if an == dn == 0 and 2 * bn == m:
+                    continue  # a = d = 0, b = 1/2: a continuum, not a discrete system
+                key = (max(a.denominator, b.denominator, d.denominator), an, dn, bn)
+                keyed.append((key, a, b, d))
+    keyed.sort()
+    return [(a, b, d) for _, a, b, d in keyed]
 
 
 def run_search(cfg: SearchConfig) -> SearchReport:
     """Enumerate, filter, solve, and recognize; see the module docstring."""
-    targets = _recognition_targets(cfg)
+    table = spectrum(cfg.max_st, cfg.max_n)
     margin = 1e-6
     report = SearchReport()
+    entries = _entries(cfg)
+    report.scanned = len(entries)
 
-    values = cfg.entry_values()
-    b_values = sorted({v for v in values} | {-v for v in values})
-
-    matrices = []
-    for a in values:
-        d_candidates = values
-        if cfg.fix_d is not None:
-            d_candidates = [cfg.fix_d]
-        if cfg.a_eq_d:
-            d_candidates = [a]
-        for d in d_candidates:
-            if d > a:
-                continue  # canonical orientation a >= d
-            for b in b_values:
-                A = RationalSymmetricMatrix(a, b, d)
-                if not check_range(A):
-                    continue
-                if a == 0 and d == 0 and b == _HALF:
-                    continue  # solution continuum, not a discrete system
-                matrices.append(A)
-    matrices.sort(key=_order_key)
-    report.scanned = len(matrices)
-
-    for A in matrices:
-        classification = classify_vs_one(A)
+    # a matrix is built only when its turn comes, and kept only in a
+    # report section
+    for a, b, d in entries:
+        A = RationalSymmetricMatrix(a, b, d)
         bounds = None
-        if A.a >= A.d > 0:
+        if d > 0:  # a >= d by enumeration
             bounds = bounds_on_c(A)
-            lo, hi = bounds.lower - margin, bounds.upper + margin
-            if not any(lo <= t <= hi for t in targets):
+            # bounds on c lie in [0, 2]; the table's values outside it
+            # (n < 6) are -0.2 or below and 2.2 or above, so never met
+            if not table.meets(bounds.lower - margin, bounds.upper + margin):
                 report.pruned += 1
                 continue
 
@@ -212,11 +216,6 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             continue
         report.solved += 1
 
-        flags = PropFlags(
-            classification=classification,
-            uniqueness_guarantee=uniqueness_guarantee(A),
-            bounds=bounds,
-        )
         match = recognize(sol.c, tol=cfg.tolerance, max_st=cfg.max_st,
                           max_n=cfg.max_n, max_den=cfg.max_den)
         suspect = False
@@ -227,12 +226,19 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             match = recognize(sol.c, tol=cfg.tolerance, max_st=cfg.max_st,
                               max_n=cfg.max_n, max_den=cfg.max_den)
 
-        cand = Candidate(A=A, c=sol.c, matches=match, solution=sol,
-                         prop_flags=flags, suspect=suspect)
         if sol.multiplicity > 1 and cfg.require_uniqueness:
-            report.nonunique.append(cand)
+            section = report.nonunique
         elif not match.empty:
-            report.admissible.append(cand)
+            section = report.admissible
+        else:
+            continue
+        flags = PropFlags(
+            classification=classify_vs_one(A),
+            uniqueness_guarantee=uniqueness_guarantee(A),
+            bounds=bounds,
+        )
+        section.append(Candidate(A=A, c=sol.c, matches=match, solution=sol,
+                                 prop_flags=flags, suspect=suspect))
 
     return report
 

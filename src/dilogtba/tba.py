@@ -17,17 +17,19 @@ where the first term equals 1-x and the second equals x.  The solver
 scans f - 1 for sign changes on a dense grid of (0,1) and bisects each
 bracket, which also counts the solution multiplicity.  One kernel
 evaluates the two terms for the grid scan (numpy), the bisection, the
-recovery of x and reduced_f (math); the four exponents are computed
-once per solve.  The scan is allocation-light: the kernel updates its
-two exponent arrays in place (exp included), f - 1 is formed in one of
-them, and sign changes come from two boolean masks, so a scan makes
-four grid-sized float arrays (two of them short-lived products) where
-the plain expression with np.sign made about a dozen, with
-bit-identical values.  For b = 0 the system decouples into two r=1
-problems.  Boundary fixed points (x,y) in
-{(0,1), (1,0)} exist exactly when d = 0 (resp. a = 0) with b > 0; they
-are reported separately from interior solutions and are only promoted
-to principal when no interior solution exists.
+recovery of x and reduced_f (math, with exp saturating to inf as
+np.exp does); the four exponents are computed once per solve, each by
+one integer division from the entries over their common denominator.
+The scan is allocation-light: the kernel updates its two exponent
+arrays in place (exp included), f - 1 is formed in one of them, and
+sign changes come from two boolean masks, so a scan makes four
+grid-sized float arrays (two of them short-lived products) where the
+plain expression with np.sign made about a dozen, with bit-identical
+values.  For b = 0 the system decouples into two r=1 problems.
+Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
+(resp. a = 0) with b > 0; they are reported separately from interior
+solutions and are only promoted to principal when no interior solution
+exists.
 
 Entries are exact Fractions; a diagonal r=1 entry may also be the
 frozen value INFINITY, meaning the variable is pinned at x = 0.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +54,8 @@ _HALF = Fraction(1, 2)
 
 def _as_fraction(v, what: str = "entry") -> Fraction:
     """Exact coercion; floats are rejected to keep entries exact."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, bool) or isinstance(v, float):
         raise DomainError(f"{what} must be an exact rational (int, Fraction, or string), got {v!r}")
     try:
@@ -77,6 +81,14 @@ class RationalSymmetricMatrix:
     def D(self) -> Fraction:
         """Determinant ad - b^2."""
         return self.a * self.d - self.b * self.b
+
+    @cached_property
+    def integers(self) -> tuple[int, int, int, int]:
+        """(a, b, d) as integer numerators over their least common
+        denominator m, followed by m."""
+        m = math.lcm(self.a.denominator, self.b.denominator, self.d.denominator)
+        a, b, d = (v.numerator * (m // v.denominator) for v in (self.a, self.b, self.d))
+        return a, b, d, m
 
     @property
     def entries(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -109,7 +121,8 @@ def check_range(A: RationalSymmetricMatrix) -> bool:
     These are sufficient for the r=2 system to have a solution in the
     unit square; with b < 0 they also force D >= 0.
     """
-    return A.a >= 0 and A.d >= 0 and A.b >= -min(A.a, A.d)
+    a, b, d, _ = A.integers
+    return a >= 0 and d >= 0 and b >= -min(a, d)
 
 
 @dataclass(frozen=True)
@@ -144,8 +157,8 @@ class TbaSolution:
 
 
 @lru_cache(maxsize=1024)
-def _kappa_cached(t: Fraction | float) -> float:
-    tf = float(t)
+def _kappa_cached(p: int, q: int) -> float:
+    tf = p / q  # t = p/q, correctly rounded like float(t)
     # g(xi) = ln xi - 2t ln(1-xi) is strictly increasing with g(0+) = -inf
     # and g(1-) = +inf, so plain bisection is safe.
     lo, hi = 0.0, 1.0
@@ -172,13 +185,14 @@ def kappa(t) -> float:
             raise DomainError("t must not be NaN")
         raise DomainError("t must be an exact rational (int, Fraction, or string) or INFINITY")
     t = _as_fraction(t, "t")
-    if t < 0:
+    p, q = t.numerator, t.denominator  # lowest terms, q > 0
+    if p < 0:
         raise DomainError(f"kappa requires t >= 0, got {t}")
-    if t == 0:
+    if p == 0:
         return 1.0
-    if t == _HALF:
+    if (p, q) == (1, 2):
         return 0.5
-    return _kappa_cached(t)
+    return _kappa_cached(p, q)
 
 
 def delta_fn(t) -> float:
@@ -208,20 +222,26 @@ def solve_r1(a) -> TbaSolution:
 
 
 def _exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float, float]:
-    """Exponents (p0, p1, p2, p3) of f(y) = y^p0 (1-y)^p1 + y^p2 (1-y)^p3."""
-    b = A.b
-    return (
-        float(1 / (2 * b)),
-        float(-A.d / b),
-        float(A.a / b),
-        float(-2 * A.D / b),
-    )
+    """Exponents (p0, p1, p2, p3) of f(y) = y^p0 (1-y)^p1 + y^p2 (1-y)^p3.
+
+    With a, b, d = a'/m, b'/m, d'/m these are m/(2b'), -d'/b', a'/b' and
+    -2(a'd' - b'^2)/(m b').  Each is one integer division, which is
+    correctly rounded, so it equals the float of the exact fraction.
+    Raises DomainError if an exponent is too large for a float.
+    """
+    a, b, d, m = A.integers
+    # the sign of b goes to the numerators, so a zero exponent is +0.0
+    s, b = (1, b) if b > 0 else (-1, -b)
+    try:
+        return (s * m / (2 * b), -s * d / b, s * a / b, -2 * s * (a * d - b * b) / (m * b))
+    except OverflowError:
+        raise DomainError(f"an exponent of the reduced equation for {A} overflows a float") from None
 
 
 def _terms(p, ly, l1y, exp):
     """The two terms (1-x, x) of f, given ly = log y and l1y = log(1-y).
 
-    exp is math.exp for a single point and _exp_in_place on the scan
+    exp is _exp for a single point and _exp_in_place on the scan
     grid, where the augmented assignments then work in place.  Either
     way the operations and their order are those of
     exp(p0 ly + p1 l1y), exp(p2 ly + p3 l1y), so values are bit-identical.
@@ -237,6 +257,14 @@ def _exp_in_place(a: np.ndarray) -> np.ndarray:
     return np.exp(a, out=a)
 
 
+def _exp(u: float) -> float:
+    """math.exp saturating to inf, as np.exp does on the scan grid."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
 def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
     """f(y) = y^(1/(2b)) (1-y)^(-d/b) + y^(a/b) (1-y)^(-2D/b).
 
@@ -247,7 +275,7 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
         raise DomainError("reduced equation needs b != 0 (b = 0 decouples into r=1 problems)")
     if not (0.0 < y < 1.0):
         raise DomainError(f"reduced_f is defined on the open interval (0,1), got y={y}")
-    one_minus_x, x = _terms(_exponents(A), math.log(y), math.log1p(-y), math.exp)
+    one_minus_x, x = _terms(_exponents(A), math.log(y), math.log1p(-y), _exp)
     return one_minus_x + x
 
 
@@ -258,7 +286,8 @@ def _grid_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
-    a, b, d = float(A.a), float(A.b), float(A.d)
+    a, b, d, m = A.integers
+    a, b, d = a / m, b / m, d / m
 
     def powf(base: float, e: float) -> float:
         if base == 0.0:
@@ -275,7 +304,7 @@ def _bisect_root(p, lo: float, hi: float, glo: float, tol: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi or hi - lo < tol:
             break
-        one_minus_x, x = _terms(p, math.log(mid), math.log1p(-mid), math.exp)
+        one_minus_x, x = _terms(p, math.log(mid), math.log1p(-mid), _exp)
         g = one_minus_x + x - 1.0
         if g == 0.0:
             return mid
@@ -313,10 +342,10 @@ def solve_r2(
         raise DomainError(f"grid_n must be at least 1001 for reliable root separation, got {grid_n}")
     if enforce_range and not check_range(A):
         raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
-    a, b, d = A.a, A.b, A.d
+    a, b, d, m = A.integers  # b = 1/2 exactly when 2b = m
 
     if b == 0:
-        x, y = kappa(a), kappa(d)
+        x, y = kappa(A.a), kappa(A.d)
         sol = (x, y)
         return TbaSolution(
             x=x, y=y, c=rogers_L(x) + rogers_L(y),
@@ -324,7 +353,7 @@ def solve_r2(
             interior=(sol,),
         )
 
-    if a == 0 and d == 0 and b == _HALF:
+    if a == 0 and d == 0 and 2 * b == m:
         raise ScanFailure(
             "a = d = 0, b = 1/2 has a one-parameter continuum of solutions x + y = 1"
         )
@@ -356,11 +385,11 @@ def solve_r2(
     for yr in roots:
         if interior and abs(yr - interior[-1][1]) < 1e-10:
             continue
-        xr = _terms(p, math.log(yr), math.log1p(-yr), math.exp)[1]
+        xr = _terms(p, math.log(yr), math.log1p(-yr), _exp)[1]
         if 0.0 < xr < 1.0:
             interior.append((xr, yr))
 
-    boundary_flag = (d == 0 and 0 < b < _HALF)
+    boundary_flag = (d == 0 and 0 < 2 * b < m)
 
     if interior:
         px, py = interior[0]

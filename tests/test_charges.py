@@ -5,8 +5,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilogtba import ChargeMatch, recognize
+from dilogtba.charges import _balanced_coprime_split, spectrum
 
 
 def test_minimal_model_values():
@@ -138,3 +141,64 @@ def test_result_type():
     m = recognize(0.5)
     assert isinstance(m, ChargeMatch)
     assert not m.empty
+
+
+# ---------------------------------------------------------------------------
+# the spectrum table against a plain scan of the three families
+
+def _reference_recognize(c, tol, max_st, max_n, max_den):
+    """recognize as a scan over n = 2 .. max_st and n = 2 .. max_n."""
+    errors = []
+    minimal = None
+    for n in range(2, max_st + 1):
+        err_pos = abs(c - (1.0 - 6.0 / n))
+        err_neg = abs(c - (1.0 + 6.0 / n))
+        if err_pos <= tol or err_neg <= tol:
+            s, t = _balanced_coprime_split(n)
+            if err_neg < err_pos:
+                minimal = (s, -t)
+                errors.append(err_neg)
+            else:
+                minimal = (s, t)
+                errors.append(err_pos)
+            break
+    parafermion = None
+    for n in range(2, max_n + 1):
+        err = abs(c - 2.0 * (n - 1) / (n + 2))
+        if err <= tol:
+            parafermion = n
+            errors.append(err)
+            break
+    rational = None
+    fr = F(c).limit_denominator(max_den)
+    err = abs(c - float(fr))
+    if err <= tol:
+        rational = (fr.numerator, fr.denominator)
+        errors.append(err)
+    return ChargeMatch(minimal=minimal, parafermion=parafermion, rational=rational,
+                       residual=min(errors) if errors else math.inf)
+
+
+# tolerances up to 10 make several minimal values match at once; at
+# c = 1 the two signs of the smallest st then tie
+_tols = st.floats(-12.0, 1.0).map(lambda e: 10.0 ** e)
+_offsets = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-3.0, 3.0)
+_uniform = st.tuples(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-0.1, 2.1), _tols)
+# c within 3 tol of a minimal value 1 -+ 6/n or a parafermionic value
+_near_minimal = st.builds(lambda n, sign, k, tol: (1.0 - sign * 6.0 / n + k * tol, tol),
+                          st.integers(2, 260), st.sampled_from([1.0, -1.0]), _offsets, _tols)
+_near_parafermion = st.builds(lambda n, k, tol: (2.0 * (n - 1) / (n + 2) + k * tol, tol),
+                              st.integers(2, 80), _offsets, _tols)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(point=_uniform | _near_minimal | _near_parafermion,
+       max_st=st.sampled_from([1, 2, 3, 6, 200]) | st.integers(1, 260),
+       max_n=st.sampled_from([1, 2, 3, 60]) | st.integers(1, 80),
+       max_den=st.sampled_from([10, 1000, 10_000]))
+def test_table_recognize_matches_the_plain_scan(point, max_st, max_n, max_den):
+    c, tol = point
+    assert recognize(c, tol, max_st, max_n, max_den) == \
+        _reference_recognize(c, tol, max_st, max_n, max_den)
+    table = spectrum(max_st, max_n)
+    assert table.meets(c - tol, c + tol) == any(c - tol <= v <= c + tol for v in table.values)

@@ -230,6 +230,11 @@ def test_verify_rejects_nonpositive_precision():
         verify(entry, precision=-1e-9)
 
 
+def test_verify_rejects_nan_precision():
+    with pytest.raises(ValueError, match="precision must be positive"):
+        verify(load_catalog()[0], precision=float("nan"))
+
+
 def test_verify_rejects_argument_outside_unit_interval():
     bad = IdentityEntry(
         name="synthetic_out_of_range",

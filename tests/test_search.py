@@ -9,6 +9,7 @@ the shipped example configurations, and duality deduplication is
 checked both on search output and on synthetic candidate pairs.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -279,3 +280,29 @@ def test_report_json_matches_schema(small_report):
 
 def test_report_json_is_deterministic(small_report):
     assert report_json(small_report) == report_json(small_report)
+
+
+# sha256 of report_text and report_json, recorded before the enumeration
+# moved to integer numerators and the prune and recognition to one
+# cached spectrum table; any change to the reports' bytes fails here.
+_REPORT_DIGESTS = {
+    "den2": ("714f25bc1c63865acf497f54e38bd1ee5aaeca9799c0ff4d90caf356dccd4657",
+             "cf79c13d14b6c058cf3697c4c645f426b26ef52d43e4c9b26ea49ec659ffb707"),
+    "symmetric": ("6a9972a130bc70311dc72d6b68081e080b8cbfa994e4b86b5e0806e3b1ed2b9d",
+                  "13b0b9d8af7693973679c02404dc9fe881921d401d106ac73640a238821c9f53"),
+    "fix_d_window": ("402afee85d04d4d5fc425cc1ad79f48f5bab277ab973b749b41e5cb30f13293b",
+                     "db445e4940c8672dfef7375485684441a9180d8ec6c76da68c53c34a2a1e6823"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_DIGESTS))
+def test_reports_are_byte_identical_to_recorded(name, den2_report):
+    if name == "den2":
+        report = den2_report
+    elif name == "symmetric":
+        report = run_search(EXAMPLE_CONFIGS["symmetric"])
+    else:
+        report = run_search(SearchConfig(max_denominator=6, max_numerator=2, fix_d=F(0)))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (report_text(report), report_json(report)))
+    assert digests == _REPORT_DIGESTS[name]

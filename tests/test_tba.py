@@ -245,6 +245,18 @@ def test_grid_n_validation():
         solve_r2(M(2, 1, 1), grid_n=10)
 
 
+def test_overflowing_inputs_end_in_package_errors():
+    # b = 10^-33 puts exponents of order 10^33 in f: the point kernel
+    # saturates to inf as the grid scan does, and no root is left
+    tiny_b = M(1, F(1, 10**33), 1)
+    assert reduced_f(tiny_b, 0.5) == math.inf
+    with pytest.raises(ScanFailure):
+        solve_r2(tiny_b)
+    # a/b = 10^400 is no float at all
+    with pytest.raises(DomainError, match="overflows a float"):
+        solve_r2(M(10**400, 1, 1))
+
+
 def test_residuals_both_equations():
     # residual covers both fixed-point equations, not just the reduced
     # one, and every interior solution solves both, not only the principal:
