@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = ["ChargeMatch", "Spectrum", "recognize", "spectrum"]
@@ -72,6 +71,36 @@ def _balanced_coprime_split(n: int) -> tuple[int, int]:
             best = k
             break
     return best, n // best
+
+
+def _best_rational(c: float, max_den: int) -> tuple[int, int]:
+    """(p, q) of Fraction(c).limit_denominator(max_den), in plain integers.
+
+    The continued fraction of c's exact ratio gives the last convergent
+    p1/q1 with q1 <= max_den and the semiconvergent on c's other side
+    with the largest denominator allowed; p1/q1 wins ties, as in
+    limit_denominator.
+    """
+    if max_den < 1:
+        raise ValueError(f"max_den must be at least 1, got {max_den}")
+    n, d = c.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    # p1/q1 lies d/(q1 den) from c, and 1/(q1 (q0 + k q1)) from the
+    # semiconvergent
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 @dataclass(frozen=True)
@@ -154,10 +183,10 @@ def recognize(
         errors.append(abs(c - 2.0 * (parafermion - 1) / (parafermion + 2)))
 
     rational = None
-    fr = Fraction(c).limit_denominator(max_den)
-    err = abs(c - float(fr))
+    p, q = _best_rational(c, max_den)
+    err = abs(c - p / q)
     if err <= tol:
-        rational = (fr.numerator, fr.denominator)
+        rational = (p, q)
         errors.append(err)
 
     return ChargeMatch(

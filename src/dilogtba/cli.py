@@ -80,6 +80,11 @@ _COMPUTE_ERRORS = (
 )
 
 
+# largest --max-st / --max-n: the spectrum table grows with both and is
+# cached per pair; spectrum(10**4, 10**4) holds 29 997 values
+_MAX_SPECTRUM_BOUND = 10_000
+
+
 class _InputError(Exception):
     """Malformed user input detected after argparse."""
 
@@ -105,8 +110,9 @@ def _positive_float(source: str = ""):
     return parse
 
 
-def _int_at_least(lowest: int):
-    """argparse type for an integer no smaller than lowest."""
+def _int_at_least(lowest: int, highest: int | None = None):
+    """argparse type for an integer no smaller than lowest (and, when
+    highest is given, no larger than highest)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -114,6 +120,8 @@ def _int_at_least(lowest: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(f"must be at most {highest}, got {value}")
         return value
     return parse
 
@@ -497,8 +505,10 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     sp = sub.add_parser("recognize", parents=[common],
                         help="match a value against the charge spectra")
     sp.add_argument("value", help="decimal or fraction p/q")
-    sp.add_argument("--max-st", type=_int_at_least(1), default=200, help="largest |st| product")
-    sp.add_argument("--max-n", type=_int_at_least(1), default=60, help="largest parafermionic n")
+    sp.add_argument("--max-st", type=_int_at_least(1, _MAX_SPECTRUM_BOUND), default=200,
+                    help=f"largest |st| product (at most {_MAX_SPECTRUM_BOUND})")
+    sp.add_argument("--max-n", type=_int_at_least(1, _MAX_SPECTRUM_BOUND), default=60,
+                    help=f"largest parafermionic n (at most {_MAX_SPECTRUM_BOUND})")
     sp.add_argument("--max-den", type=_int_at_least(1), default=10_000,
                     help="largest denominator for plain-rational matches")
     sp.set_defaults(func=_cmd_recognize)

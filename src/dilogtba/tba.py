@@ -14,18 +14,24 @@ For b != 0, eliminating x gives the one-variable equation f(y) = 1 with
     f(y) = y^(1/(2b)) (1-y)^(-d/b) + y^(a/b) (1-y)^(-2D/b),   D = ad - b^2,
 
 where the first term equals 1-x and the second equals x.  The solver
-scans f - 1 for sign changes on a dense grid of (0,1) and bisects each
-bracket, which also counts the solution multiplicity.  One kernel
-evaluates the two terms for the grid scan (numpy), the bisection, the
-recovery of x and reduced_f (math, with exp saturating to inf as
-np.exp does); the four exponents are computed once per solve, each by
-one integer division from the entries over their common denominator.
-The scan is allocation-light: the kernel updates its two exponent
-arrays in place (exp included), f - 1 is formed in one of them, and
-sign changes come from two boolean masks, so a scan makes four
-grid-sized float arrays (two of them short-lived products) where the
-plain expression with np.sign made about a dozen, with bit-identical
-values.  For b = 0 the system decouples into two r=1 problems.
+finds every sign change of f - 1 on a dense grid of (0,1) and bisects
+each bracket, which also counts the solution multiplicity.  One kernel
+evaluates the two terms for the grid scan (numpy, in place), the
+bisection, the recovery of x and reduced_f (math, with exp saturating
+to inf as np.exp does); the four exponents are computed once per
+solve, each by one integer division from the entries over their common
+denominator.
+
+The scan has two levels.  A coarse pass evaluates every 64th grid
+point.  Each term y^p (1-y)^q is monotone between two coarse points
+unless its critical point p/(p+q) lies there, so away from the
+critical points the end values bound f on the whole cell, and a cell
+whose bounds clear 1 by a relative margin far above the rounding error
+cannot hold a zero or a sign change.  The fine pass evaluates only the
+remaining cells, with the same grid values and operations as a scan of
+every point, so the brackets and every root are bit-identical to it;
+exponents too large for the margin to cover refine every cell.  For
+b = 0 the system decouples into two r=1 problems.
 Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
 (resp. a = 0) with b > 0; they are reported separately from interior
 solutions and are only promoted to principal when no interior solution
@@ -38,6 +44,7 @@ frozen value INFINITY, meaning the variable is pinned at x = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -158,7 +165,10 @@ class TbaSolution:
 
 @lru_cache(maxsize=1024)
 def _kappa_cached(p: int, q: int) -> float:
-    tf = p / q  # t = p/q, correctly rounded like float(t)
+    try:
+        tf = p / q  # t = p/q, correctly rounded like float(t)
+    except OverflowError:
+        raise DomainError(f"kappa argument t = {Fraction(p, q)} overflows a float") from None
     # g(xi) = ln xi - 2t ln(1-xi) is strictly increasing with g(0+) = -inf
     # and g(1-) = +inf, so plain bisection is safe.
     lo, hi = 0.0, 1.0
@@ -279,10 +289,72 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
     return one_minus_x + x
 
 
-@lru_cache(maxsize=8)
-def _grid_logs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    y = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
-    return y, np.log(y), np.log1p(-y)
+# The sign scan of f - 1 (see _scan): every _STRIDE-th grid point is
+# evaluated first, and a cell between two of them is skipped only when its
+# monotonicity bounds clear 1 by the relative _MARGIN.
+_STRIDE = 64
+_MARGIN = 1e-9
+_CELL = np.arange(_STRIDE + 1)
+
+
+def _scan(p, n: int) -> tuple[list[float], list[tuple[float, float, float]]]:
+    """Exact zeros and sign changes of g = f - 1 on y_k = (k+1)/(n+1), k < n.
+
+    Returns the ascending y_k with g(y_k) == 0 and, ascending, the
+    brackets (y_k, y_k+1, g(y_k)) where g changes sign: exactly what
+    evaluating g on all n points finds, each value bit-identical, while
+    g is evaluated only in cells that can hold a zero or a sign change.
+
+    The coarse pass evaluates the two terms at k = 0, S, 2S, ... and
+    n - 1 (S = _STRIDE).  A term y^p (1-y)^q is monotone on any cell
+    that avoids its critical point p/(p+q), which is interior only when
+    p and q have the same sign; on such a cell f lies between lo, the
+    sum of the terms' smaller end values, and hi, the sum of the larger.
+    Each computed term is within a relative 8 eps (1 + w) of its exact
+    value, w = (|p| + |q|) log(n+1) bounding |p log y| + |q log(1-y)|
+    over the grid, so a cell away from both critical points with
+    lo (1 - _MARGIN) > 1 or hi (1 + _MARGIN) < 1 keeps one sign at every
+    grid point; a NaN end value certifies nothing.  When the exponents
+    make that error exceed the margin (e.g. b = 1/10^33), every cell is
+    refined.  The fine pass evaluates the refined cells, end points
+    included, as one (cells x S+1) block.
+    """
+    # inf * 0 in the sign test below is NaN, which is not a flip
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # coarse pass over numerators k + 1 = 1, S + 1, 2S + 1, ..., n
+        kp = np.minimum(np.arange(1, n + _STRIDE, _STRIDE), n)
+        y = kp / (n + 1)
+        t0, t1 = _terms(p, np.log(y), np.log1p(-y), _exp_in_place)
+        lo = np.minimum(t0[:-1], t0[1:])
+        lo += np.minimum(t1[:-1], t1[1:])
+        lo *= 1.0 - _MARGIN
+        hi = np.maximum(t0[:-1], t0[1:])
+        hi += np.maximum(t1[:-1], t1[1:])
+        hi *= 1.0 + _MARGIN
+        refine = ~((lo > 1.0) | (hi < 1.0))
+        w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
+        if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
+            refine[:] = True
+        for e, q in (p[:2], p[2:]):
+            if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
+                # the cell holding the critical point, and its neighbours
+                j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
+                refine[max(j - 1, 0):j + 2] = True
+
+        # fine pass; the last cell is padded by repeating y_(n-1)
+        y = np.minimum(kp[np.flatnonzero(refine), None] + _CELL, n) / (n + 1)
+        one_minus_x, g = _terms(p, np.log(y), np.log1p(-y), _exp_in_place)
+        g += one_minus_x
+        g -= 1.0
+        # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
+        # so the product of neighbours cannot underflow: it is negative
+        # exactly at a sign change, and NaN or 0 (never a flip) otherwise
+        rows, cols = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
+    # an exact zero is a root, not a flip; neighbouring cells share an
+    # end point and the padding repeats one, so a zero can be seen twice
+    hits = sorted({float(v) for v in y[g == 0.0]})
+    flips = [(float(y[r, c]), float(y[r, c + 1]), float(g[r, c])) for r, c in zip(rows, cols)]
+    return hits, flips
 
 
 def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
@@ -323,9 +395,17 @@ def solve_r2(
 ) -> TbaSolution:
     """Solve the r=2 system, reporting all interior solutions found.
 
-    The scan evaluates the reduced equation on a uniform grid of grid_n
-    points of (0,1) and bisects every sign change to width tol; x is
-    recovered from the second reduced term.  The principal solution is
+    The scan finds every exact zero and sign change of the reduced
+    equation on the uniform grid y_k = (k+1)/(grid_n+1), k < grid_n,
+    and bisects every sign change to width tol; x is recovered from the
+    second reduced term.  It evaluates every 64th grid point, then only
+    the cells between them that can hold a sign change: a cell is
+    skipped when both terms are monotone on it (their critical points
+    lie elsewhere) and the sums of their end values clear 1 by a
+    relative 1e-9, far above the rounding error; exponents so large that
+    the rounding error could reach the margin (e.g. b = 1/10^33) refine
+    every cell.  The result is bit-identical to evaluating all grid_n
+    points.  The principal solution is
     the interior one with smallest y; boundary solutions are listed
     separately and promoted to principal only when nothing interior
     exists.  Raises RangeViolation outside the admissible entry range
@@ -365,20 +445,10 @@ def solve_r2(
     if a == 0 and b > 0:
         boundary.append((1.0, 0.0))
 
-    # dense scan of f(y) - 1 for sign changes
     p = _exponents(A)
-    y, ly, l1y = _grid_logs(grid_n)
-    with np.errstate(over="ignore", under="ignore"):
-        one_minus_x, g = _terms(p, ly, l1y, _exp_in_place)
-        g += one_minus_x
-        g -= 1.0
-
-    # an exact zero is a root, not a flip; a NaN is neither
-    roots = [float(y[k]) for k in np.flatnonzero(g == 0.0)]
-    pos, neg = g > 0.0, g < 0.0
-    flips = np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
-    for k in flips:
-        roots.append(_bisect_root(p, float(y[k]), float(y[k + 1]), float(g[k]), tol))
+    roots, flips = _scan(p, grid_n)
+    for lo, hi, glo in flips:
+        roots.append(_bisect_root(p, lo, hi, glo, tol))
     roots.sort()
 
     interior: list[tuple[float, float]] = []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogtba import ChargeMatch, recognize
-from dilogtba.charges import _balanced_coprime_split, spectrum
+from dilogtba.charges import _balanced_coprime_split, _best_rational, spectrum
 
 
 def test_minimal_model_values():
@@ -202,3 +202,35 @@ def test_table_recognize_matches_the_plain_scan(point, max_st, max_n, max_den):
         _reference_recognize(c, tol, max_st, max_n, max_den)
     table = spectrum(max_st, max_n)
     assert table.meets(c - tol, c + tol) == any(c - tol <= v <= c + tol for v in table.values)
+
+
+# ---------------------------------------------------------------------------
+# the integer continued fraction against Fraction.limit_denominator
+
+_max_dens = st.sampled_from([1, 2, 3, 10, 10_000]) | st.integers(1, 10**7)
+_random_values = st.tuples(st.floats(-10.0, 10.0) | st.floats(-1e9, 1e9), _max_dens)
+_integers = st.tuples(st.integers(-10**6, 10**6).map(float), _max_dens)
+
+
+@st.composite
+def _near_max_den(draw):
+    """p/q with q within 3 of max_den, on either side."""
+    max_den = draw(_max_dens)
+    q = draw(st.integers(max(1, max_den - 3), max_den + 3))
+    return draw(st.integers(-3 * q, 3 * q)) / q, max_den
+
+
+# halfway between the neighbours m and m + 2^-j (or m + 1 - 2^-j and
+# m + 1), whose mediant's denominator 2^j + 1 just exceeds max_den = 2^j:
+# a tie, which limit_denominator gives to the last convergent
+_halfway = st.builds(lambda m, j, upper: (m + 1 - 2.0 ** -(j + 1) if upper else m + 2.0 ** -(j + 1),
+                                          2 ** j),
+                     st.integers(-5, 5), st.integers(0, 30), st.booleans())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=_random_values | _integers | _near_max_den() | _halfway)
+def test_best_rational_is_limit_denominator(case):
+    c, max_den = case
+    fr = F(c).limit_denominator(max_den)
+    assert _best_rational(c, max_den) == (fr.numerator, fr.denominator)

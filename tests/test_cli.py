@@ -189,6 +189,8 @@ def test_solve_scan_failure_exits_1():
     ["recognize", "0.5", "--max-st", "-5"],  # spectrum bounds must be >= 1
     ["recognize", "0.5", "--max-st", "0"],
     ["recognize", "0.5", "--max-n", "0"],
+    ["recognize", "0.5", "--max-st", "10001"],  # spectrum bounds are capped at 10^4
+    ["recognize", "0.5", "--max-n", "100000"],
 ])
 def test_input_errors_exit_2(argv):
     code, _, err = run_cli(argv)
@@ -255,6 +257,9 @@ def test_failed_requests_leave_the_parser_intact():
     pytest.param(["solve", "-A", "1", "1/1000000000000000000000000000000000", "1"],
                  "ScanFailure", id="argv1"),
     pytest.param(["dual", "-A", "1e300", "1", "1e300"], "DomainError", id="argv2"),
+    # b = 0 decouples into kappa(10^400), and rank 1 is kappa alone
+    pytest.param(["solve", "-A", "1e400", "0", "1"], "DomainError", id="argv3"),
+    pytest.param(["solve", "-A", "1e400"], "DomainError", id="argv4"),
 ])
 def test_overflowing_computation_exits_1(argv, error):
     # exact rational input whose solve leaves the binary64 range

@@ -11,6 +11,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dilogtba import (
     DomainError,
@@ -28,6 +30,7 @@ from dilogtba import (
     solve_r1,
     solve_r2,
 )
+from dilogtba.tba import _exponents, _scan
 
 RHO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -255,6 +258,11 @@ def test_overflowing_inputs_end_in_package_errors():
     # a/b = 10^400 is no float at all
     with pytest.raises(DomainError, match="overflows a float"):
         solve_r2(M(10**400, 1, 1))
+    # b = 0 takes kappa(a) straight from the entry, which is no float either
+    with pytest.raises(DomainError, match="overflows a float"):
+        solve_r2(M(10**400, 0, 1))
+    with pytest.raises(DomainError, match="overflows a float"):
+        kappa(10**400)
 
 
 def test_residuals_both_equations():
@@ -378,6 +386,104 @@ def test_solve_r2_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
     assert sol.c.hex() == c
     principal = interior[0] if interior else tuple(v.hex() for v in boundary[0])
     assert (sol.x.hex(), sol.y.hex()) == principal
+
+
+# Recorded like the table above, for the scan's edge cases: the root at
+# y ~ 1.4e-6 of (1/4 7; 7 0) that only the 10^6 grid separates, a matrix
+# whose exponents refine every scan cell, (1/20 19/20; 19/20 1/20) whose
+# last coarse cell is short at 1001 and 123457 points, and the largest
+# b of its row (14) with d = 0.
+_RECORDED_SCAN_CASES = [
+    (("1/4", "7", "0"), 1_000_001, 2, "0x1.33334fe8cee17p-1", [
+        ("0x1.3c6e118effe74p-1", "0x1.79d3bd4e986e0p-20"),
+        ("0x1.17af98784fc8cp-3", "0x1.06253ace555a6p-3"),
+    ], [(0.0, 1.0)]),
+    (("1/4", "7", "0"), 100_000, 1, "0x1.5d21a76b79f72p-2", [
+        ("0x1.17af98784fc25p-3", "0x1.06253ace555d6p-3"),
+    ], [(0.0, 1.0)]),
+    (("1", "1/10000", "1"), 100_000, 1, "0x1.9995e8ee1d185p-1", [
+        ("0x1.871dc9e25da49p-2", "0x1.871dc9e27d648p-2"),
+    ], []),
+    (("1/20", "19/20", "1/20"), 1_001, 3, "0x1.a58743dd955a2p-1", [
+        ("0x1.86a3820659df5p-1", "0x1.080051164f43cp-4"),
+        ("0x1.8722191a02d8dp-2", "0x1.8722191a02d3ap-2"),
+        ("0x1.080051164f388p-4", "0x1.86a3820659e05p-1"),
+    ], []),
+    (("1/20", "19/20", "1/20"), 123_457, 3, "0x1.a58743dd95596p-1", [
+        ("0x1.86a3820659e13p-1", "0x1.080051164f33cp-4"),
+        ("0x1.8722191a02d84p-2", "0x1.8722191a02d42p-2"),
+        ("0x1.080051164f373p-4", "0x1.86a3820659e0ap-1"),
+    ], []),
+    (("4", "-3/2", "2"), 1_002, 1, "0x1.727cfd98c6b52p-1", [
+        ("0x1.2706007dbb4e7p-2", "0x1.8d8dacd343bfap-2"),
+    ], []),
+    (("9/10", "14", "0"), 20_001, 1, "0x1.dd87ea99f5643p-3", [
+        ("0x1.647a0add3bda3p-4", "0x1.3ffd6365cd1ccp-4"),
+    ], [(0.0, 1.0)]),
+]
+
+
+@pytest.mark.parametrize("entries, grid_n, multiplicity, c, interior, boundary",
+                         _RECORDED_SCAN_CASES)
+def test_scan_edge_cases_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
+                                                   interior, boundary):
+    test_solve_r2_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
+                                            interior, boundary)
+
+
+# ---------------------------------------------------------------------------
+# the coarse-to-fine scan against a plain scan of every grid point
+
+
+def _full_scan(p, n):
+    """Exact zeros and sign-change brackets of f - 1 over all n grid points."""
+    y = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
+    ly, l1y = np.log(y), np.log1p(-y)
+    with np.errstate(over="ignore", under="ignore"):
+        g = np.exp(ly * p[0] + l1y * p[1]) + np.exp(ly * p[2] + l1y * p[3]) - 1.0
+    hits = [float(y[k]) for k in np.flatnonzero(g == 0.0)]
+    pos, neg = g > 0.0, g < 0.0
+    flips = np.flatnonzero((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
+    return hits, [(float(y[k]), float(y[k + 1]), float(g[k])) for k in flips]
+
+
+_grid_ns = st.sampled_from([1001, 1002, 20_001, 100_000, 123_457])
+_entries = st.integers(1, 12).flatmap(lambda q: st.builds(F, st.integers(0, 8 * q), st.just(q)))
+
+
+@st.composite
+def _in_range_matrices(draw):
+    """b < 0, d = 0 and tiny b (whose exponents refine every cell) included."""
+    a = draw(_entries)
+    d = draw(st.just(F(0)) | _entries)
+    b = draw(_entries.map(lambda v: v - min(a, d))
+             | st.integers(12, 40).map(lambda k: F(1, 10**k)))
+    assume(b != 0)
+    return _exponents(M(a, b, d))
+
+
+def _twin_bump(c, excess):
+    """Exponents of f = 2 y^P (1-y)^Q with its maximum 1 + excess at y = c.
+
+    Both terms peak at their critical point c, so f - 1 has two roots
+    close to c when excess > 0 and a near miss when it is < 0.
+    """
+    entropy = -c * math.log(c) - (1.0 - c) * math.log1p(-c)
+    s = math.log(2.0 / (1.0 + excess)) / entropy
+    return (c * s, (1.0 - c) * s) * 2
+
+
+_bumps = st.builds(_twin_bump, st.floats(0.02, 0.98),
+                   st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e)
+                   | st.floats(-6.0, -2.0).map(lambda e: -(10.0 ** e)))
+_exponent_tuples = st.tuples(*[st.floats(-40.0, 40.0)] * 4)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(p=_in_range_matrices() | _bumps | _exponent_tuples, n=_grid_ns)
+def test_scan_matches_the_full_grid(p, n):
+    # every zero, every bracket and the sign of g at it, bit for bit
+    assert _scan(p, n) == _full_scan(p, n)
 
 
 # ---------------------------------------------------------------------------
