@@ -27,7 +27,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = ["ChargeMatch", "Spectrum", "recognize", "spectrum"]
+from .errors import DomainError
+
+__all__ = ["ChargeMatch", "MAX_SPECTRUM_BOUND", "Spectrum", "recognize", "spectrum"]
+
+# largest max_st / max_n: spectrum(10**4, 10**4) holds 29 997 values
+MAX_SPECTRUM_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,11 @@ def spectrum(max_st: int, max_n: int) -> Spectrum:
     """The Spectrum for the given bounds, built once per (max_st, max_n).
 
     It holds 2 (max_st - 1) + max_n - 1 values: 457 for the defaults
-    (200, 60).
+    (200, 60).  Bounds above MAX_SPECTRUM_BOUND raise DomainError.
     """
+    if max(max_st, max_n) > MAX_SPECTRUM_BOUND:
+        raise DomainError(f"spectrum bounds must be at most {MAX_SPECTRUM_BOUND}, "
+                          f"got max_st={max_st}, max_n={max_n}")
     entries = [(1.0 - 6.0 / n, n) for n in range(2, max_st + 1)]
     entries += [(1.0 + 6.0 / n, n) for n in range(2, max_st + 1)]
     entries += [(2.0 * (n - 1) / (n + 2), -n) for n in range(2, max_n + 1)]

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import bounds_on_c, classify_vs_one, dual
-from .charges import ChargeMatch, recognize
+from .charges import MAX_SPECTRUM_BOUND, ChargeMatch, recognize
 from .errors import (
     CatalogError,
     DomainError,
@@ -78,11 +78,6 @@ _COMPUTE_ERRORS = (
     # an entry of 1e400 or a b so small that exp(1/(2b)) overflows
     OverflowError,
 )
-
-
-# largest --max-st / --max-n: the spectrum table grows with both and is
-# cached per pair; spectrum(10**4, 10**4) holds 29 997 values
-_MAX_SPECTRUM_BOUND = 10_000
 
 
 class _InputError(Exception):
@@ -505,10 +500,10 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     sp = sub.add_parser("recognize", parents=[common],
                         help="match a value against the charge spectra")
     sp.add_argument("value", help="decimal or fraction p/q")
-    sp.add_argument("--max-st", type=_int_at_least(1, _MAX_SPECTRUM_BOUND), default=200,
-                    help=f"largest |st| product (at most {_MAX_SPECTRUM_BOUND})")
-    sp.add_argument("--max-n", type=_int_at_least(1, _MAX_SPECTRUM_BOUND), default=60,
-                    help=f"largest parafermionic n (at most {_MAX_SPECTRUM_BOUND})")
+    sp.add_argument("--max-st", type=_int_at_least(1, MAX_SPECTRUM_BOUND), default=200,
+                    help=f"largest |st| product (at most {MAX_SPECTRUM_BOUND})")
+    sp.add_argument("--max-n", type=_int_at_least(1, MAX_SPECTRUM_BOUND), default=60,
+                    help=f"largest parafermionic n (at most {MAX_SPECTRUM_BOUND})")
     sp.add_argument("--max-den", type=_int_at_least(1), default=10_000,
                     help="largest denominator for plain-rational matches")
     sp.set_defaults(func=_cmd_recognize)

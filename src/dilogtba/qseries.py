@@ -4,15 +4,17 @@ A fermionic form is
 
     chi(q) = q^lead * sum_{m >= 0} q^(m.A m + B.m) / ((q)_{m_1} ... (q)_{m_r})
 
-with r = 1 or 2, (q)_n = prod_{k=1..r<=n} (1 - q^k), A a rational
-symmetric matrix (a scalar for r = 1; the quadratic form is
-a m1^2 + 2b m1 m2 + d m2^2), B a rational vector, and optional
+with r = 1 or 2, (q)_n = prod_{k=1..n} (1 - q^k), A a rational
+symmetric r x r matrix (a scalar for r = 1; for r = 2 the quadratic
+form is a m1^2 + 2b m1 m2 + d m2^2), B a rational vector, and optional
 per-variable congruence restrictions m_i = res (mod modulus).
 
-expand() produces exact integer coefficients on the lattice (1/L) Z,
-where L is the lcm of the denominators in A, B, and lead.  eval_at()
-sums the series numerically at real q in (0,1) with a geometric tail
-bound.  estimate_ceff() extrapolates the q -> 1 growth
+Each form is scaled once to integers over its lattice denominator L,
+the lcm of the denominators in A, B and lead, and expand() and eval_at()
+work on those integers for every rank.  expand() produces exact integer
+coefficients on the lattice (1/L) Z.  eval_at() sums the series
+numerically at real q in (0,1) with a geometric tail bound.
+estimate_ceff() extrapolates the q -> 1 growth
 
     ln chi(e^-eps) ~ pi^2 c_eff / (6 eps)
 
@@ -37,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NonTerminatingSeries, RangeViolation, TailBoundError
-from .tba import _HALF, RationalSymmetricMatrix, _as_fraction, check_range
+from .tba import _HALF, RationalSymmetricMatrix, _as_fraction
 
 __all__ = [
     "FermionicForm",
@@ -50,6 +52,9 @@ __all__ = [
     "FORMS",
     "FORM_SYSTEMS",
 ]
+
+_SAFETY_CAP = 10**6  # expand's largest coordinate
+_SHELL_CAP = {1: 200_000, 2: 5_000}  # eval_at's largest max(m), by rank
 
 
 def _as_restriction(res) -> tuple[int, int] | None:
@@ -75,12 +80,20 @@ class FermionicForm:
     B: tuple[Fraction, ...]
     lead: Fraction = Fraction(0)
     restrictions: tuple[tuple[int, int] | None, ...] | None = None
+    # A as r rows of Fractions, and (L, Q, Bn, lead_n) of exponent_numerators
+    _rows: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+    _integers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the one place that tells a scalar A from a matrix A
         A = self.A
-        if not isinstance(A, RationalSymmetricMatrix):
+        if isinstance(A, RationalSymmetricMatrix):
+            rows = ((A.a, A.b), (A.b, A.d))
+        else:
             A = _as_fraction(A, "A")
+            rows = ((A,),)
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "B", tuple(_as_fraction(v, "B entry") for v in self.B))
         object.__setattr__(self, "lead", _as_fraction(self.lead, "lead"))
         if len(self.B) != self.r:
@@ -92,18 +105,24 @@ class FermionicForm:
                 self, "restrictions", tuple(_as_restriction(v) for v in self.restrictions)
             )
 
+        L = math.lcm(*(v.denominator for v in (*itertools.chain(*rows), *self.B, self.lead)))
+
+        def scaled(v: Fraction) -> int:
+            n = v * L
+            assert n.denominator == 1, "lattice denominator does not cover an entry"
+            return n.numerator
+
+        Q = tuple(tuple(map(scaled, row)) for row in rows)
+        object.__setattr__(self, "_integers", (L, Q, tuple(map(scaled, self.B)), scaled(self.lead)))
+
     @property
     def r(self) -> int:
-        return 2 if isinstance(self.A, RationalSymmetricMatrix) else 1
+        return len(self._rows)
 
     def exponent(self, m: tuple[int, ...]) -> Fraction:
         """The quadratic-plus-linear exponent m.A m + B.m (without lead)."""
-        if self.r == 1:
-            (mm,) = m
-            return self.A * mm * mm + self.B[0] * mm
-        m1, m2 = m
-        A = self.A
-        return A.a * m1 * m1 + 2 * A.b * m1 * m2 + A.d * m2 * m2 + self.B[0] * m1 + self.B[1] * m2
+        quad = sum(v * x * y for row, x in zip(self._rows, m) for v, y in zip(row, m))
+        return quad + sum(map(operator.mul, self.B, m))
 
     def allows(self, i: int, value: int) -> bool:
         if self.restrictions is None or self.restrictions[i] is None:
@@ -112,35 +131,26 @@ class FermionicForm:
         return value % modulus == residue
 
     def lattice_denominator(self) -> int:
-        dens = [self.lead.denominator] + [v.denominator for v in self.B]
-        if self.r == 1:
-            dens.append(self.A.denominator)
-        else:
-            dens += [self.A.a.denominator, self.A.b.denominator, self.A.d.denominator]
-        return math.lcm(*dens)
+        return self._integers[0]
 
-    def exponent_numerators(self) -> tuple[int, tuple[int, ...]]:
-        """The lattice denominator L and the integers that scale exponents to it.
+    def exponent_numerators(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+        """The form scaled to integers over its lattice denominator L.
 
-        Returns (L, n) with n = (a L, B_1 L, lead L) for r = 1 and
-        n = (a L, 2b L, d L, B_1 L, B_2 L, lead L) for r = 2, so that
-        L (lead + m.A m + B.m) is an integer polynomial in m
-        (_exponent_numerator).
+        Returns (L, Q, Bn, lead_n): the r x r matrix Q = L A, the
+        vector Bn = L B and lead_n = L lead, so that
+        L (lead + m.A m + B.m) = lead_n + m.Q m + Bn.m.
         """
-        L = self.lattice_denominator()
-        quad = (self.A,) if self.r == 1 else (self.A.a, 2 * self.A.b, self.A.d)
-        return L, tuple(int(v * L) for v in (*quad, *self.B, self.lead))
+        return self._integers
 
 
-def _exponent_numerator(n: tuple[int, ...], m: tuple[int, ...]) -> int:
-    """L (lead + m.A m + B.m), exactly, from FermionicForm.exponent_numerators()."""
-    if len(m) == 1:
-        a, B1, lead = n
-        (x,) = m
-        return lead + (a * x + B1) * x
-    a, b2, d, B1, B2, lead = n
-    x, y = m
-    return lead + (a * x + b2 * y + B1) * x + (d * y + B2) * y
+def _row(Q, Bn, outer: tuple[int, ...]) -> tuple[int, int]:
+    """(base, t) with L (m.A m + B.m) = base + t y + Q_rr y^2 at m = (*outer, y)."""
+    base = sum(x * (sum(map(operator.mul, row, outer)) + c) for x, row, c in zip(outer, Q, Bn))
+    return base, 2 * sum(map(operator.mul, Q[-1], outer)) + Bn[-1]
+
+
+def _allowed(form: FermionicForm, m: tuple[int, ...]) -> bool:
+    return all(form.allows(i, x) for i, x in enumerate(m))
 
 
 def restricted_variant(form: FermionicForm, index: int, modulus: int, residue: int) -> FermionicForm:
@@ -175,21 +185,24 @@ class QSeries:
     order: Fraction
 
     def __post_init__(self):
+        if self.denom < 1:
+            raise ValueError(f"denom must be a positive integer, got {self.denom}")
         object.__setattr__(self, "coeffs", {k: v for k, v in self.coeffs.items() if v != 0})
-        object.__setattr__(self, "order", _as_fraction(self.order, "order"))
+        order = _as_fraction(self.order, "order")
+        object.__setattr__(self, "order", order)
+        # k/denom > order, compared as integers
+        top, den = order.numerator * self.denom, order.denominator
         for k in self.coeffs:
-            if Fraction(k, self.denom) > self.order:
-                raise ValueError(f"stored exponent {k}/{self.denom} exceeds order {self.order}")
+            if k * den > top:
+                raise ValueError(f"stored exponent {k}/{self.denom} exceeds order {order}")
 
     def coefficient(self, exponent) -> int:
         """Coefficient of q^exponent; exact; 0 when absent (must be <= order)."""
         e = _as_fraction(exponent, "exponent")
-        if e > self.order:
+        if e.numerator * self.order.denominator > self.order.numerator * e.denominator:
             raise ValueError(f"exponent {e} beyond truncation order {self.order}")
-        k = e * self.denom
-        if k.denominator != 1:
-            return 0
-        return self.coeffs.get(int(k), 0)
+        k, rem = divmod(e.numerator * self.denom, e.denominator)
+        return 0 if rem else self.coeffs.get(k, 0)
 
     def to_text(self) -> str:
         """Lines "k/L coefficient", ascending exponents, L fixed (diffable)."""
@@ -226,39 +239,68 @@ def _partition_rows(max_parts: int, jmax: int) -> list[list[int]]:
 
 
 def _check_terminates(form: FermionicForm) -> None:
-    """Reject forms whose sum cannot be truncated at any finite order."""
-    if form.r == 1:
-        a, B1 = form.A, form.B[0]
-        if a < 0:
-            raise RangeViolation(f"negative quadratic coefficient {a}")
-        if a == 0:
-            if B1 < 0:
-                raise RangeViolation("exponents decrease without bound (A = 0, B < 0)")
-            if B1 == 0:
-                raise NonTerminatingSeries(
-                    "A = 0 and B = 0 repeats the exponent 0 infinitely often; "
-                    "the partition-type series needs B > 0 (exponent B m)"
-                )
-        return
-    A = form.A
-    if not check_range(A):
-        raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
-    for i, (diag, Bi) in enumerate(((A.a, form.B[0]), (A.d, form.B[1]))):
-        if diag == 0:
-            if Bi < 0:
+    """Reject forms whose sum cannot be truncated at any finite order:
+    outside the entry range, or without growth along a coordinate whose
+    diagonal is 0 or along the null ray of a 2 x 2 block."""
+    _, Q, Bn, _ = form.exponent_numerators()
+    r = len(Bn)
+    pairs = list(itertools.combinations(range(r), 2))
+    if any(Q[i][i] < 0 for i in range(r)) or any(
+        Q[i][j] < -min(Q[i][i], Q[j][j]) for i, j in pairs
+    ):
+        raise RangeViolation(
+            f"A = {form.A} violates the entry range "
+            "(diagonals >= 0, off-diagonals >= -min of their diagonals)"
+        )
+    for i in range(r):
+        if Q[i][i] == 0:
+            if Bn[i] < 0:
                 raise RangeViolation(f"exponents decrease without bound along m_{i + 1}")
-            if Bi == 0:
+            if Bn[i] == 0:
                 raise NonTerminatingSeries(
                     f"zero growth along m_{i + 1} (diagonal entry and B component both 0)"
                 )
-    if A.b < 0 and A.D == 0:
-        # The quadratic form vanishes on the ray k (-b, a); the exponent
-        # there is linear with slope B . (-b, a).
-        slope = -A.b * form.B[0] + A.a * form.B[1]
-        if slope < 0:
-            raise RangeViolation("exponents decrease without bound along the null ray")
-        if slope == 0:
-            raise NonTerminatingSeries("zero exponent growth along the null ray of the form")
+    for i, j in pairs:
+        a, b, d = Q[i][i], Q[i][j], Q[j][j]
+        if b < 0 and a * d == b * b:
+            # The quadratic form vanishes on the ray k (-b, a) in
+            # (m_i, m_j); the exponent there is linear with slope
+            # B . (-b, a).
+            slope = a * Bn[j] - b * Bn[i]
+            if slope < 0:
+                raise RangeViolation("exponents decrease without bound along the null ray")
+            if slope == 0:
+                raise NonTerminatingSeries("zero exponent growth along the null ray of the form")
+
+
+def _walk_rows(Q, Bn, room: int):
+    """(outer, *_row(Q, Bn, outer)) for the outer points m_1..m_(r-1)
+    (none for r = 1) whose rows can hold an exponent <= room.  The walk
+    stops, by exact tests, at a row whose minimum over real m_r >= 0
+    exceeds room and lies beyond every vertex, so no later row reaches
+    room either."""
+    if len(Bn) == 1:
+        yield (), *_row(Q, Bn, ())
+        return
+    (a, b), (_, d) = Q
+    B1, B2 = Bn
+    D = a * d - b * b
+    m1 = 0
+    while True:
+        base, t = _row(Q, Bn, (m1,))
+        # row minimum > room: base, or base - t^2/(4d) when the row's
+        # vertex lies at m2 > 0
+        above = 4 * d * (base - room) > t * t if d > 0 and t < 0 else base > room
+        if above and (
+            (a == 0 or 2 * a * m1 + B1 > 0)
+            and (b == 0 or b * t > 0)
+            and (d == 0 or D <= 0 or 2 * D * m1 + d * B1 - b * B2 > 0)
+        ):
+            return
+        yield (m1,), base, t
+        m1 += 1
+        if m1 > _SAFETY_CAP:
+            raise NonTerminatingSeries("enumeration exceeded the safety cap")
 
 
 def expand(form: FermionicForm, order) -> QSeries:
@@ -272,120 +314,67 @@ def expand(form: FermionicForm, order) -> QSeries:
     forms) and NonTerminatingSeries when the sum has infinitely many
     terms at some exponent below the order.
 
-    The points are grouped by m1 and by L (lead + m.A m + B.m) mod L
-    (r = 1 runs as m1 = 0, m2 = m).  Within
-    a group the partition rows 1/(q)_m2 are added at their integer
-    offsets, and the group sum is then divided by (q)_m1 in place, one
-    running sum s[i] += s[i-k] per k = 1..m1 (Euler's recurrence).  All
-    arithmetic is on exact integers; the cost is
-    O(points * order + sum over groups of m1 * order).
+    One integer walk serves every rank.  It visits the outer
+    coordinates m_1..m_(r-1) (none for r = 1) row by row and, in each
+    row, the inner m_r, keeping the points with
+    k = L (lead + m.A m + B.m) <= floor(order L); a row ends once it is
+    past its vertex with k above that cutoff.  The points are grouped
+    by their outer coordinates and by k mod L.  Within a group the
+    partition rows 1/(q)_(m_r) are added at their integer offsets, and
+    the group sum is then divided by each (q)_(m_i), i < r, in place,
+    one running sum s[i] += s[i-k] per k = 1..m_i (Euler's
+    recurrence).  All arithmetic is on exact integers; the cost is
+    O(points * order + sum over groups of (m_1 + ... + m_(r-1)) * order).
     """
     order = _as_fraction(order, "order")
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     _check_terminates(form)
 
-    L, num = form.exponent_numerators()
-    lead = form.lead
-    points: list[tuple[tuple[int, ...], Fraction]] = []
-
-    if form.r == 1:
-        m = 0
-        while True:
-            e = form.exponent((m,))
-            if e > order - lead:
-                a = form.A
-                # past the vertex of a m^2 + B m the exponent only grows
-                if a > 0 and m > -float(form.B[0]) / (2.0 * float(a)):
-                    break
-                if a == 0:
-                    break
-            else:
-                if e < 0:
-                    raise RangeViolation(f"negative exponent {e} at m={m}")
-                if form.allows(0, m):
-                    points.append(((m,), e))
-            m += 1
-            if m > 10**6:
-                raise NonTerminatingSeries("enumeration exceeded the safety cap")
-    else:
-        A = form.A
-        a, b, d, B1, B2 = A.a, A.b, A.d, form.B[0], form.B[1]
-        # Beyond every regime vertex, the row-minimum exponent grows with
-        # m1, so rows whose minimum exceeds the order close the scan.
-        vertices = [0.0]
-        if a > 0:
-            vertices.append(-float(B1) / (2.0 * float(a)))
-        if b != 0:
-            vertices.append(-float(B2) / (2.0 * float(b)))
-        if d > 0 and A.D > 0:
-            vertices.append(-float(B1 - b * B2 / d) / (2.0 * float(A.D / d)))
-        m1_floor = max(vertices) + 2.0
-
-        m1 = 0
-        while True:
-            base = a * m1 * m1 + B1 * m1
-            t = 2 * b * m1 + B2
-            if d > 0 and t < 0:
-                row_min = base - t * t / (4 * d)
-            else:
-                row_min = base
-            if row_min > order - lead and m1 > m1_floor:
-                break
-            m2 = 0
-            while True:
-                e = base + d * m2 * m2 + t * m2
-                if e > order - lead:
-                    if d > 0 and m2 > -float(t) / (2.0 * float(d)):
-                        break
-                    if d == 0:
-                        break
-                else:
-                    if e < 0:
-                        raise RangeViolation(f"negative exponent {e} at m=({m1},{m2})")
-                    if d == 0 and t == 0 and m2 > 0:
-                        raise NonTerminatingSeries(
-                            f"row m1={m1} repeats exponent {e} for every m2"
-                        )
-                    if form.allows(0, m1) and form.allows(1, m2):
-                        points.append(((m1, m2), e))
-                m2 += 1
-                if m2 > 10**6:
-                    raise NonTerminatingSeries("enumeration exceeded the safety cap")
-            m1 += 1
-            if m1 > 10**6:
-                raise NonTerminatingSeries("enumeration exceeded the safety cap")
-
-    # Group the points by m1 and by the fractional part of the exponent;
-    # a group's exponents differ by integers, so its m2-sum is one
-    # integer series.
+    L, Q, Bn, lead = form.exponent_numerators()
     top = math.floor(order * L)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for m, e in points:
-        k0 = _exponent_numerator(num, m)
-        assert k0 == (lead + e) * L, "lattice denominator does not cover an exponent"
-        m1, m2 = (0, m[0]) if form.r == 1 else m
-        groups.setdefault((m1, k0 % L), []).append((k0, m2))
+    room = top - lead  # largest L (m.A m + B.m) kept
+    d = Q[-1][-1]
+    inner = len(Bn) - 1
+    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
+    k_min, max_inner = top, 0
+    for outer, base, t in _walk_rows(Q, Bn, room):
+        row_allowed = _allowed(form, outer)
+        e, m = base, 0
+        while True:
+            if e > room:
+                if 2 * d * m + t > 0:  # past the vertex the exponent only grows
+                    break
+            elif e < 0:
+                point = ",".join(map(str, (*outer, m)))
+                raise RangeViolation(f"negative exponent {Fraction(e, L)} at m=({point})")
+            elif row_allowed and form.allows(inner, m):
+                k = lead + e
+                groups.setdefault((outer, k % L), []).append((k, m))
+                k_min, max_inner = min(k_min, k), max(max_inner, m)
+            e += d * (2 * m + 1) + t
+            m += 1
+            if m > _SAFETY_CAP:
+                raise NonTerminatingSeries("enumeration exceeded the safety cap")
 
     # the lowest exponent needs the longest partition row
-    k_min = min((k0 for pts in groups.values() for k0, _ in pts), default=top)
-    max_m2 = max((m2 for pts in groups.values() for _, m2 in pts), default=0)
-    rows = _partition_rows(max_m2, (top - k_min) // L)
+    rows = _partition_rows(max_inner, (top - k_min) // L)
 
     coeffs: dict[int, int] = {}
-    for (m1, res), pts in groups.items():
+    for (outer, res), pts in groups.items():
         # s[i] is the coefficient of q^((res + (n_lo + i) L) / L)
-        n_lo = min(k0 for k0, _ in pts) // L
+        n_lo = min(k for k, _ in pts) // L
         n_hi = (top - res) // L
         s = [0] * (n_hi - n_lo + 1)
-        for k0, m2 in pts:
-            off = k0 // L - n_lo
+        for k, m in pts:
+            off = k // L - n_lo
             width = n_hi - n_lo + 1 - off
-            s[off:] = map(operator.add, s[off:], rows[m2][:width])
-        # divide by (q)_{m1}: 1/(1 - q^k) is a running sum along stride k
-        for k in range(1, m1 + 1):
-            for start in range(min(k, len(s))):
-                s[start::k] = itertools.accumulate(s[start::k])
+            s[off:] = map(operator.add, s[off:], rows[m][:width])
+        # divide by (q)_(m_i): 1/(1 - q^j) is a running sum along stride j
+        for mi in outer:
+            for j in range(1, mi + 1):
+                for start in range(min(j, len(s))):
+                    s[start::j] = itertools.accumulate(s[start::j])
         for n, v in enumerate(s, start=n_lo):
             coeffs[res + n * L] = coeffs.get(res + n * L, 0) + v
 
@@ -396,38 +385,41 @@ def expand(form: FermionicForm, order) -> QSeries:
 # numeric evaluation
 
 
-def _shell_points(form: FermionicForm, M: int) -> list[tuple[int, ...]]:
-    """Lattice points with max coordinate exactly M, row-major ascending."""
-    if form.r == 1:
-        return [(M,)] if form.allows(0, M) else []
-    pts = [(M, j) for j in range(M)] + [(j, M) for j in range(M)] + [(M, M)]
-    pts.sort()
-    return [p for p in pts if form.allows(0, p[0]) and form.allows(1, p[1])]
+def _shell_rows(M: int, r: int):
+    """The points of {0..M}^r whose largest coordinate is M, row-major
+    ascending, as (outer, inner) rows: outer = (m_1..m_(r-1)) and inner
+    the m_r values of that row."""
+    for outer in itertools.product(range(M + 1), repeat=r - 1):
+        yield outer, (range(M + 1) if M in outer else (M,))
 
 
 def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     """Numeric value of the fermionic sum at real q in (0, 1).
 
-    Terms are grouped into shells by max(m) and summed in row-major
-    order; each exponent is the exact integer L (lead + m.A m + B.m)
-    divided by L once, so it is the correctly rounded float of the
-    rational exponent.  The tail test compares sums over whole periods
-    of P consecutive shells, P the lcm of the restriction moduli (P = 1
-    without restrictions), so a congruence that thins every other shell
-    cannot fake a fast decay.  With cutoff=None, shells are added until
-    the geometric tail bound (last period sum times ratio/(1-ratio),
-    ratio between the last two period sums) falls below 1e-14 of the
-    partial sum; an explicit cutoff sums m <= cutoff and still requires
-    the bound to certify the tail.  TailBoundError reports failures.
+    Terms are grouped into shells by max(m), each shell walked in
+    row-major order by one generator for every rank; each exponent is
+    the exact integer L (lead + m.A m + B.m) divided by L once, so it
+    is the correctly rounded float of the rational exponent.  The tail
+    test compares sums over whole periods of P consecutive shells, P
+    the lcm of the restriction moduli (P = 1 without restrictions), so
+    a congruence that thins every other shell cannot fake a fast
+    decay.  With cutoff=None, shells are added until the geometric
+    tail bound (last period sum times ratio/(1-ratio), ratio between
+    the last two period sums) falls below 1e-14 of the partial sum; an
+    explicit cutoff sums m <= cutoff and still requires the bound to
+    certify the tail.  Either way at most max(m) = 200 000 (r = 1) or
+    5 000 (r = 2) is summed.  TailBoundError reports failures.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must be in (0,1), got {q}")
     _check_terminates(form)
 
-    L, num = form.exponent_numerators()
+    L, Q, Bn, lead = form.exponent_numerators()
+    r, d = len(Bn), Q[-1][-1]
+    rows: dict[tuple[int, ...], tuple[int, int] | None] = {}  # _row per allowed outer point
     period = math.lcm(*(res[0] for res in form.restrictions or () if res is not None))
     lnq = math.log(q)
-    hard_cap = 200_000 if form.r == 1 else 5_000
+    hard_cap = _SHELL_CAP[r]
     limit = min(cutoff, hard_cap) if cutoff is not None else hard_cap
 
     poch = [1.0]  # (q)_n
@@ -440,11 +432,19 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
         if M > 0:
             poch.append(poch[-1] * (1.0 - q ** M))
         shell = 0.0
-        for m in _shell_points(form, M):
-            term = math.exp(lnq * (_exponent_numerator(num, m) / L))
-            for mi in m:
-                term /= poch[mi]
-            shell += term
+        for outer, inner in _shell_rows(M, r):
+            if outer not in rows:
+                rows[outer] = _row(Q, Bn, outer) if _allowed(form, outer) else None
+            if rows[outer] is None:
+                continue
+            base, t = rows[outer]
+            for y in inner:
+                if not form.allows(r - 1, y):
+                    continue
+                term = math.exp(lnq * ((lead + base + (d * y + t) * y) / L))
+                for mi in outer:
+                    term /= poch[mi]
+                shell += term / poch[y]
         total += shell
         block += shell
         if (M + 1) % period == 0:
@@ -462,6 +462,8 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
         f"tail bound {tail:.3e} not below 1e-14 of the sum after max(m)={min(limit, M - 1)}; "
         "increase the cutoff"
     )
+
+
 
 
 def _ceff_samples(eps_list) -> list[float]:

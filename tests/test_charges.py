@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilogtba import ChargeMatch, recognize
+from dilogtba import charges
 from dilogtba.charges import _balanced_coprime_split, _best_rational, spectrum
+from dilogtba.errors import DomainError
+from dilogtba.search import SearchConfig, run_search
 
 
 def test_minimal_model_values():
@@ -135,6 +138,18 @@ def test_bounds_respected():
     c = 1.0 - 6.0 / 210.0
     assert recognize(c, max_st=100, max_den=10).minimal is None
     assert recognize(c, max_st=210, max_den=10).minimal == (14, 15)
+
+
+def test_spectrum_bounds_are_capped_for_every_caller():
+    # a bound above 10^4 would build and cache a table of 2 max_st values
+    with pytest.raises(DomainError):
+        recognize(0.5, max_st=10**5)
+    with pytest.raises(DomainError):
+        spectrum(200, 10_001)
+    with pytest.raises(DomainError):
+        run_search(SearchConfig(max_st=10**6))
+    assert charges.MAX_SPECTRUM_BOUND == 10_000
+    assert len(spectrum(10_000, 10_000).values) == 29_997
 
 
 def test_result_type():

@@ -4,15 +4,20 @@ Coefficient oracles are classical partition counts computed here by
 independent dynamic programming: the one-variable quadratic form with
 A = 1, B = 1 matches partitions into parts congruent to +-2 mod 5, the
 A = 1/2, B = 1/2 form matches partitions into distinct parts, and
-A = 0, B = 1 gives the unrestricted partition numbers.  Two-variable
-expansions are checked exactly against a reference that multiplies the
-two partition rows of every lattice point separately.  Truncated
+A = 0, B = 1 gives the unrestricted partition numbers.  Expansions of
+both ranks, on the catalog and on seeded random forms, are checked
+exactly against a reference that multiplies the partition rows of every
+lattice point separately, and the catalog outputs against recorded
+digests and float.hex values.  Truncated
 expansions are checked against the adaptive numeric evaluator with the
 tail bounded by a longer expansion (the coefficients are nonnegative,
 so partial sums increase monotonically).
 """
 
+import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,43 +108,93 @@ def test_two_variable_exponent_formula():
 
 
 # ---------------------------------------------------------------------------
-# two-variable expansion against a per-point reference
+# expansion against a per-point reference, both ranks
+
+
+def _growth_terms(form):
+    """(g_i, B_i) with m.A m + B.m >= sum_i (g_i m_i^2 + B_i m_i) on m >= 0.
+
+    A negative off-diagonal A_ij contributes at least
+    -|A_ij| (m_i^2 + m_j^2), so g_i is A_ii less the sizes of the
+    negative off-diagonals in row i.
+    """
+    A = form.A
+    rows = [[A]] if form.r == 1 else [[A.a, A.b], [A.b, A.d]]
+    return [
+        (row[i] + sum(v for j, v in enumerate(row) if j != i and v < 0), form.B[i])
+        for i, row in enumerate(rows)
+    ]
+
+
+def _box(form, room):
+    """Per coordinate, an upper bound on m_i over the points with
+    m.A m + B.m <= room, from the separable lower bound of
+    _growth_terms (each term convex and unbounded above)."""
+    terms = _growth_terms(form)
+    assert all(g > 0 or b > 0 for g, b in terms), "no growth bound"
+
+    def f(i, x):
+        g, b = terms[i]
+        return g * x * x + b * x
+
+    lows = []
+    for i in range(form.r):
+        x = 0
+        while f(i, x + 1) < f(i, x):
+            x += 1
+        lows.append(f(i, x))
+    bounds = []
+    for i in range(form.r):
+        budget = room - (sum(lows) - lows[i])
+        x, last = 0, -1
+        while True:
+            if f(i, x) <= budget:
+                last = x
+            elif f(i, x + 1) > f(i, x):
+                break
+            x += 1
+        bounds.append(last)
+    return bounds
 
 
 def _reference_expand(form, order):
-    """Exact r = 2 expansion, one lattice point at a time.
+    """Exact expansion, one lattice point at a time, for either rank.
 
     Each point m contributes q^(lead + m.A m + B.m) times the product
-    of the two partition rows 1/(q)_m1 and 1/(q)_m2, multiplied out
-    term by term.  The box side 2 order + 12 holds every point at or
-    below the order for the forms tested here, whose exponents grow at
-    least like max(m) - 1.
+    of the partition rows 1/(q)_(m_i), multiplied out term by term.  A
+    point at or below the order with a negative m.A m + B.m raises
+    RangeViolation, restricted or not.  The points come from the box
+    of _box, which holds every point at or below the order.
     """
     order = F(order)
     L = form.lattice_denominator()
     room = order - form.lead
-    box = 2 * int(order) + 12
-    points = [
-        ((m1, m2), form.exponent((m1, m2)))
-        for m1 in range(box) for m2 in range(box)
-        if form.allows(0, m1) and form.allows(1, m2)
-    ]
-    points = [(m, e) for m, e in points if e <= room]
-    budget = int(room)
+    bounds = _box(form, room)
+    budget = max(math.floor(room), 0)
     rows = [[1] + [0] * budget]
-    for n in range(1, box):
+    for n in range(1, max(bounds, default=0) + 1):
         row = rows[-1][:]
         for j in range(n, budget + 1):
             row[j] += row[j - n]
         rows.append(row)
     coeffs = {}
-    for (m1, m2), e in points:
+    for m in itertools.product(*(range(b + 1) for b in bounds)):
+        e = form.exponent(m)
+        if e > room:
+            continue
+        if e < 0:
+            raise RangeViolation(f"negative exponent {e} at m={m}")
+        if not all(form.allows(i, x) for i, x in enumerate(m)):
+            continue
+        n = math.floor(room - e)
+        series = [1] + [0] * n
+        for x in m:
+            series = [sum(series[j] * rows[x][i - j] for j in range(i + 1)) for i in range(n + 1)]
         start = (form.lead + e) * L
         assert start.denominator == 1
-        for j1 in range(int(room - e) + 1):
-            for j2 in range(int(room - e) + 1 - j1):
-                k = int(start) + (j1 + j2) * L
-                coeffs[k] = coeffs.get(k, 0) + rows[m1][j1] * rows[m2][j2]
+        for j, c in enumerate(series):
+            k = int(start) + j * L
+            coeffs[k] = coeffs.get(k, 0) + c
     return QSeries(denom=L, coeffs=coeffs, order=order)
 
 
@@ -160,6 +215,94 @@ def test_two_variable_expansion_matches_per_point_reference(name):
     form = FORMS.get(name) or _EXTRA_R2_FORMS[name]
     for order in (1, F(23, 6), 12, 30):
         assert expand(form, order) == _reference_expand(form, order), (name, order)
+
+
+def _random_form(rng):
+    """A random r = 1 or r = 2 form whose sum terminates, with negative b,
+    d = 0, negative B entries and lead, and restrictions among the cases."""
+    def frac(lo, hi):
+        q = rng.randint(1, 4)
+        return F(rng.randint(lo * q, hi * q), q)
+
+    while True:
+        r = rng.choice((1, 2))
+        if r == 1:
+            A = frac(0, 2)
+        else:
+            a, d = frac(0, 2), frac(0, 2) if rng.random() < 0.8 else F(0)
+            b = frac(0, 1) if rng.random() < 0.5 else -rng.choice((0, F(1, 2), 1)) * min(a, d)
+            A = RationalSymmetricMatrix(a, b, d)
+        restrictions = None
+        if rng.random() < 0.3:
+            restrictions = tuple(
+                (mod, rng.randrange(mod)) if rng.random() < 0.7 else None
+                for mod in (rng.randint(1, 3) for _ in range(r))
+            )
+        form = FermionicForm(
+            A=A,
+            B=tuple(frac(-1, 2) for _ in range(r)),
+            lead=frac(-2, 2) if rng.random() < 0.5 else F(0),
+            restrictions=restrictions,
+        )
+        if all(g > 0 or b > 0 for g, b in _growth_terms(form)):
+            return form
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RangeViolation:
+        return RangeViolation
+
+
+def test_expansion_matches_per_point_reference_on_random_forms():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(1000):
+        form = _random_form(rng)
+        order = F(rng.randint(1, 72), 6) if rng.random() < 0.5 else rng.randint(1, 12)
+        got = _outcome(expand, form, order)
+        assert got == _outcome(_reference_expand, form, order), (form, order)
+        seen.add((form.r, got is RangeViolation))
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
+
+
+# sha256 of the expansions to orders 40, 121 and 240 (to_text, joined),
+# and float.hex of eval_at at q = 0.05, 0.2, 0.29 and of the default
+# estimate_ceff, recorded before the two ranks shared one kernel
+_RECORDED = {
+    "chi_2_5": ("3085584f3da32b0be303a555728f3ea851e2aeb0507a3bac9564be0c39333de5",
+                ("0x1.2868519a44291p-1", "0x1.9044386469e08p-1", "0x1.c8c0d83549378p-1",
+                 "0x1.999999999999ap-2")),
+    "chi_3_4": ("825f3360efa2a4516e506d5a4e34a525d7f3ed6403380f1c3acbeeb9eeb6fb18",
+                ("0x1.befa6fb260687p-1", "0x1.23cee526f18e6p+0", "0x1.56d460618fce9p+0",
+                 "0x1.00125c51a5653p-1")),
+    "chi_3_5": ("575a00c120cbb69d7fd18030a1e0e0cce7cc97a11b4aeb26c0b8dd2aec767075",
+                ("0x1.7097014913f2ap+0", "0x1.065506dc6bd63p+1", "0x1.41434050b3244p+1",
+                 "0x1.335f43f7268cdp-1")),
+    "chi_3_7": ("0502bf335404ef0b7294c7d529298f8ff21c430edd0fbcdd1e086c85e52472d2",
+                ("0x1.09605346a071ap+0", "0x1.4ad0d8f5480bdp+0", "0x1.8aaf198894f3bp+0",
+                 "0x1.6db43b4d5e0a2p-1")),
+    "chi_5_6": ("1e966bbb70d3100978444cbb51cc3748704fb77542f3ca87777f8868f784baf6",
+                ("0x1.15034588e0a12p+0", "0x1.54b1e15c2e561p+0", "0x1.98e06f4807b5bp+0",
+                 "0x1.997ba16b20895p-1")),
+    "chi_3_8": ("13d9eb5f8c5397f4d82038616cebee6dfc4bf5e6c770f92594892fa9d507444c",
+                ("0x1.7395f86d8b0fdp-1", "0x1.12e5617a943d7p+0", "0x1.5aa63aa14ca83p+0",
+                 "0x1.7fffffffffffdp-1")),
+    "chi_4_5": ("6c34e2765a9e755e9cebc4acaaea149a1116ce5f74ad704b7b5cb2bcf0f52c7d",
+                ("0x1.07857d8058fcfp+0", "0x1.4ba801e50b960p+0", "0x1.9049a61e94cd9p+0",
+                 "0x1.66666665a95ebp-1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED))
+def test_catalog_outputs_identical_to_recorded(name):
+    form = FORMS[name]
+    digest = hashlib.sha256()
+    for order in (40, 121, 240):
+        digest.update(expand(form, order).to_text().encode())
+    values = [eval_at(form, q).hex() for q in (0.05, 0.2, 0.29)] + [estimate_ceff(form).hex()]
+    assert (digest.hexdigest(), tuple(values)) == _RECORDED[name]
 
 
 # ---------------------------------------------------------------------------
