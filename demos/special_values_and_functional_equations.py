@@ -16,16 +16,19 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+
 from dilogtba import (
     check_duplication,
     check_five_term,
     check_reflection,
+    constant,
     rogers_L,
     rogers_L_mp,
 )
 
-# The five special points.  rho is irrational, so it enters as a float;
-# the rational points can be passed exactly as Fractions.
+# The five special points.  rho is irrational, so it enters as a float
+# here; the rational points can be passed exactly as Fractions.
 rho = (math.sqrt(5.0) - 1.0) / 2.0
 points = [
     (Fraction(0), "0", Fraction(0)),
@@ -42,13 +45,19 @@ for x, label, exact in points:
     print(f"{label:>10}  {val:>22.17f}  {str(exact):>6}  {abs(val - float(exact)):>9.2e}")
 
 # The same five values through the arbitrary-precision evaluator, which
-# the binary64 path is validated against.  At 50 digits the printed
+# the binary64 path is validated against.  Here rho is the isolated
+# algebraic number refined to 50 digits, and at 50 digits the printed
 # values terminate: they are exactly rational.
 print()
 print("high-precision check (50 digits)")
-for x, label, exact in points:
-    val = rogers_L_mp(float(x) if not isinstance(x, float) else x, dps=50)
-    print(f"  L({label}) = {val}")
+rho50 = constant("rho").to_mpf(50)
+with mpmath.workdps(50):
+    mp_points = [(0, "0"), (1 - rho50, "1 - rho"), (Fraction(1, 2), "1/2"), (rho50, "rho"), (1, "1")]
+for x, label in mp_points:
+    val = rogers_L_mp(x, dps=50)
+    print(f"  L({label}) = {mpmath.nstr(val, 50)}")
+# The binary64 rho is off in its 17th digit, and so is L of it.
+print(f"  L(float rho) = {mpmath.nstr(rogers_L_mp(rho, dps=50), 50)}")
 
 # Functional equations.  Each check_* helper returns the absolute
 # residual of one identity at the given point(s):

@@ -237,6 +237,8 @@ class AlgebraicNumber:
         eps = Fraction(eps)
         if eps <= 0:
             raise DomainError("eps must be positive")
+        if self.hi - self.lo <= eps:
+            return (self.lo, self.hi)
         slo = _sign(_feval(self._fr, self.lo))
         while self.hi - self.lo > eps:
             if self._exact is not None:

@@ -11,7 +11,8 @@ geometrically convergent, and uses the reflection property
     L(x) + L(1-x) = 1
 
 for x > 1/2, which avoids the logarithmic singularity of the series
-representation near 1.
+representation near 1.  rogers_L does so in binary64; rogers_L_mp, the
+high-precision oracle, in integer fixed point on the exact argument.
 
 Special values (exact):
 
@@ -29,6 +30,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from mpmath import mp, mpf
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    from_man_exp,
+    mpf_log,
+    mpf_mul,
+    pi_fixed,
+    round_nearest,
+    to_fixed,
+)
 
 from .errors import DomainError
 
@@ -109,42 +122,84 @@ def check_five_term(x, y) -> float:
     return abs(lhs - rhs)
 
 
-def rogers_L_mp(x, dps: int = 200):
-    """High-precision L(x) via mpmath, same series + reflection scheme.
+def _unit_ratio(x, dps: int) -> tuple[int, int]:
+    """(n, d) with n/d = x exactly, 0 <= n <= d and d > 0.
 
-    `x` may be an mpf, float, int, or Fraction; Fractions convert exactly.
-    Returns an mpf carrying `dps` digits.  This is the reference oracle
-    used by the test suite and by the optional high-precision identity
-    verification; it shares no code with the binary64 path.
+    Fractions, ints, floats and mpfs convert exactly; anything else
+    (a decimal string, say) goes through mpf at dps + 10 digits first.
     """
-    from mpmath import mp
+    if not isinstance(x, (int, float, Fraction, mpf)):
+        with mp.workdps(dps + 10):
+            x = mp.mpf(x)
+    if not 0 <= x <= 1:  # also rejects nan
+        raise DomainError(f"argument {x!r} outside [0, 1]")
+    if isinstance(x, mpf):
+        man, exp = x.man_exp
+        return (man, 1 << -exp) if exp < 0 else (man << exp, 1)
+    return x.as_integer_ratio()
 
-    with mp.workdps(dps + 10):
-        if isinstance(x, Fraction):
-            xx = mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        else:
-            xx = mp.mpf(x)
-        if xx < 0 or xx > 1:
-            raise DomainError(f"argument {x!r} outside [0, 1]")
-        if xx == 0:
-            out = mp.mpf(0)
-        elif xx == 1:
-            out = mp.mpf(1)
-        elif xx > 0.5:
-            out = 1 - rogers_L_mp(1 - xx, dps=dps + 5)
-        else:
-            s = mp.mpf(0)
-            p = mp.mpf(1)
-            tiny = mp.mpf(10) ** (-(dps + 8))
-            n = 0
-            while True:
-                n += 1
-                p *= xx
-                t = p / (n * n)
-                s += t
-                if t < tiny:
-                    break
-            s += mp.log(xx) * mp.log(1 - xx) / 2
-            out = 6 * s / mp.pi**2
-    with mp.workdps(dps):
-        return +out
+
+def rogers_L_mp(x, dps: int = 200):
+    """High-precision L(x) as an mpf of `dps` digits, for x in [0, 1].
+
+    `x` may be an mpf, float, int, or Fraction, all taken exactly.
+    This is the reference oracle of the test suite and of the
+    high-precision identity verification; it shares no code with the
+    binary64 path.
+
+    Algorithm: one integer fixed-point pass.  With y = n/d = min(x, 1 - x)
+    (exact, and L(x) = 1 - L(y) when x > 1/2) and wp working bits,
+    X = floor(y 2^wp) and the series
+
+        S = sum_k X^k / k^2     (p = (p X) >> wp, s += p // k^2)
+
+    runs on Python integers until the term p is 0.  The log term
+    (1/2) ln(y) ln(1 - y) comes from mpmath's mpf_log on the exact
+    values X 2^-wp and (2^wp - X) 2^-wp; the sum is scaled by 6/pi^2 in
+    fixed point, reflected in integers, and rounded once to `dps`
+    digits.
+
+    Working precision: with bits = (bits of dps + 10 digits) + 20
+    guard bits, wp = bits + d.bit_length() - n.bit_length(), and the
+    bit-length difference is within one of -log2 y, so X keeps `bits`
+    bits however small y is (near y = 10^-300, ln(1 - y) ~ -y
+    survives).  The logs and 6/pi^2 need `bits` of relative precision
+    only (mpf_log adds the bits that 1 - y cancels by itself), so their
+    cost does not grow as y shrinks.  The series has at most about wp terms, each off by at
+    most a unit of 2^-wp, and both parts of the sum are positive, so
+    the fixed-point L(y) is good to about 40 bits beyond `dps` digits,
+    relative; 1 - L(y) >= 1/2 keeps that.
+
+    Accuracy contract: the relative error of the result is below one
+    unit in its last binary place at `dps` digits, 2^(1 - prec) with
+    prec = mpmath.libmp.dps_to_prec(dps).  The value is the correctly
+    rounded L(x) unless L(x) lies within about 2^-40 units of the last
+    place of a rounding boundary.
+    """
+    n, d = _unit_ratio(x, dps)
+    flip = 2 * n > d
+    if flip:
+        n = d - n
+    prec = dps_to_prec(dps)
+    if n == 0:
+        return mp.make_mpf(from_int(int(flip), prec))
+    bits = dps_to_prec(dps + 10) + 20
+    wp = bits + d.bit_length() - n.bit_length()
+    one = 1 << wp
+    X = (n << wp) // d
+    s = p = X
+    k = 1
+    while p:
+        k += 1
+        p = (p * X) >> wp
+        s += p // (k * k)
+    # relative precision is all the logs and 6/pi^2 need; mpf_log adds
+    # the bits that ln(1 - y) cancels by itself
+    log_y = mpf_log(from_man_exp(X, -wp), bits)
+    log_1y = mpf_log(from_man_exp(one - X, -wp), bits)
+    s += to_fixed(mpf_mul(log_y, log_1y), wp - 1)
+    pi = pi_fixed(bits)
+    r = (s * ((6 << 3 * bits) // (pi * pi))) >> bits
+    if flip:
+        r = one - r
+    return mp.make_mpf(from_man_exp(r, -wp, prec, round_nearest))

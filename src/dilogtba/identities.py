@@ -31,14 +31,16 @@ strings preserved exactly as read.
 
 verify() evaluates an entry's residual |sum coeff L(arg) - target| in
 binary64 (arguments resolved from isolating intervals refined to 1e-20)
-or, for precision requests below 1e-13, in mpmath arbitrary precision.
+or, for precision requests below 1e-13, in mpmath arbitrary precision,
+where each L(arg) comes from dilog.rogers_L_mp: the mpf argument taken
+exactly and the series summed as one integer fixed-point pass.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -229,9 +231,11 @@ class IdentityEntry:
     """One dilogarithm identity: sum coeff * L(expr) = target.
 
     terms holds (coefficient, raw expression string) pairs; the raw
-    strings are preserved for byte-identical serialization.  matrix,
-    when present, is the TBA system whose principal solution has the
-    terms' arguments as coordinates and target as its c value.
+    strings are preserved for byte-identical serialization and parsed
+    once, when the entry is made (a malformed one raises CatalogError
+    there).  matrix, when present, is the TBA system whose principal
+    solution has the terms' arguments as coordinates and target as its
+    c value.
     """
 
     name: str
@@ -239,9 +243,14 @@ class IdentityEntry:
     target: Fraction
     matrix: RationalSymmetricMatrix | None
     source: str
+    # the parsed expression of each term, in order
+    _asts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_asts", tuple(parse_expression(e) for _, e in self.terms))
 
     def arguments(self, mode: str = "float", dps: int = 50) -> list:
-        return [evaluate_expression(parse_expression(e), mode, dps) for _, e in self.terms]
+        return [evaluate_expression(node, mode, dps) for node in self._asts]
 
 
 def parse_catalog(text: str) -> list[IdentityEntry]:
@@ -285,7 +294,6 @@ def parse_catalog(text: str) -> list[IdentityEntry]:
                 coeff = Fraction(coeff_str)
             except ValueError as exc:
                 raise CatalogError(f"line {lineno}: bad coefficient {coeff_str!r}") from exc
-            parse_expression(expr)
             terms.append((coeff, expr))
         elif line.startswith("target "):
             try:

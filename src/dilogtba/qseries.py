@@ -303,6 +303,32 @@ def _walk_rows(Q, Bn, room: int):
             raise NonTerminatingSeries("enumeration exceeded the safety cap")
 
 
+def _points(form: FermionicForm, room: int):
+    """(outer, m_r, e) for every allowed lattice point whose exponent
+    numerator e = L (m.A m + B.m) is at most room, row by row; a row
+    ends once it is past its vertex with e above room.  Raises
+    RangeViolation at a negative exponent."""
+    L, Q, Bn, _ = form.exponent_numerators()
+    d = Q[-1][-1]
+    inner = len(Bn) - 1
+    for outer, base, t in _walk_rows(Q, Bn, room):
+        row_allowed = _allowed(form, outer)
+        e, m = base, 0
+        while True:
+            if e > room:
+                if 2 * d * m + t > 0:  # past the vertex the exponent only grows
+                    break
+            elif e < 0:
+                point = ",".join(map(str, (*outer, m)))
+                raise RangeViolation(f"negative exponent {Fraction(e, L)} at m=({point})")
+            elif row_allowed and form.allows(inner, m):
+                yield outer, m, e
+            e += d * (2 * m + 1) + t
+            m += 1
+            if m > _SAFETY_CAP:
+                raise NonTerminatingSeries("enumeration exceeded the safety cap")
+
+
 def expand(form: FermionicForm, order) -> QSeries:
     """Exact coefficients of the fermionic sum up to q^order.
 
@@ -331,31 +357,14 @@ def expand(form: FermionicForm, order) -> QSeries:
         raise DomainError(f"order must be positive, got {order}")
     _check_terminates(form)
 
-    L, Q, Bn, lead = form.exponent_numerators()
+    L, _, _, lead = form.exponent_numerators()
     top = math.floor(order * L)
-    room = top - lead  # largest L (m.A m + B.m) kept
-    d = Q[-1][-1]
-    inner = len(Bn) - 1
     groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
     k_min, max_inner = top, 0
-    for outer, base, t in _walk_rows(Q, Bn, room):
-        row_allowed = _allowed(form, outer)
-        e, m = base, 0
-        while True:
-            if e > room:
-                if 2 * d * m + t > 0:  # past the vertex the exponent only grows
-                    break
-            elif e < 0:
-                point = ",".join(map(str, (*outer, m)))
-                raise RangeViolation(f"negative exponent {Fraction(e, L)} at m=({point})")
-            elif row_allowed and form.allows(inner, m):
-                k = lead + e
-                groups.setdefault((outer, k % L), []).append((k, m))
-                k_min, max_inner = min(k_min, k), max(max_inner, m)
-            e += d * (2 * m + 1) + t
-            m += 1
-            if m > _SAFETY_CAP:
-                raise NonTerminatingSeries("enumeration exceeded the safety cap")
+    for outer, m, e in _points(form, top - lead):
+        k = lead + e
+        groups.setdefault((outer, k % L), []).append((k, m))
+        k_min, max_inner = min(k_min, k), max(max_inner, m)
 
     # the lowest exponent needs the longest partition row
     rows = _partition_rows(max_inner, (top - k_min) // L)
@@ -405,9 +414,11 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     a congruence that thins every other shell cannot fake a fast
     decay.  With cutoff=None, shells are added until the geometric
     tail bound (last period sum times ratio/(1-ratio), ratio between
-    the last two period sums) falls below 1e-14 of the partial sum; an
-    explicit cutoff sums m <= cutoff and still requires the bound to
-    certify the tail.  Either way at most max(m) = 200 000 (r = 1) or
+    the last two period sums) falls below 1e-14 of the partial sum, or
+    until a period sums to 0.0 after a positive one and no later shell
+    holds a term that escapes underflow (tail exactly 0); an explicit
+    cutoff sums m <= cutoff and still requires the tail to be certified
+    by one of the two.  Either way at most max(m) = 200 000 (r = 1) or
     5 000 (r = 2) is summed.  TailBoundError reports failures.
     """
     if not (0.0 < q < 1.0):
@@ -427,6 +438,7 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     block = 0.0  # sum of the shells in the current period
     prev_block = None
     tail = math.inf
+    last = None  # largest max(m) whose terms may not underflow
     M = 0
     while M <= limit:
         if M > 0:
@@ -448,7 +460,22 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
         total += shell
         block += shell
         if (M + 1) % period == 0:
-            if prev_block is not None and 0.0 < block < prev_block:
+            if block == 0.0 and total > 0.0:
+                # A term is 0.0 exactly when exp(ln q * exponent)
+                # underflows (dividing by (q)_n <= 1 cannot make it 0.0),
+                # which holds for every exponent above 746 / -ln q.  A
+                # whole period of 0.0 after a positive sum is the sign of
+                # that regime, where the ratio test has nothing to divide;
+                # the exact walk finds the last shell holding an allowed
+                # point below that bound.  Every later term is 0.0, so
+                # the tail is exactly zero.
+                if last is None:
+                    room = math.ceil(746.0 * L / -lnq) - lead
+                    shells = (max((*outer, m)) for outer, m, _ in _points(form, room))
+                    last = max(shells, default=-1)
+                if M >= last:
+                    return total
+            elif prev_block is not None and 0.0 < block < prev_block:
                 ratio = block / prev_block
                 tail = block * ratio / (1.0 - ratio)
                 if cutoff is None and tail <= 1e-14 * abs(total):

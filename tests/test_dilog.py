@@ -2,10 +2,15 @@
 
 Expected decimals were frozen from the mpmath evaluation at 40 digits
 (rogers_L_mp, verified against mpmath.polylog directly); functional
-equations are checked as residual properties on seeded grids.
+equations are checked as residual properties on seeded grids.  The
+accuracy contract of rogers_L_mp (relative error below one unit in the
+last binary place) is checked against mpmath's polylog and log1p at
+40 more digits, on seeded inputs and on arguments near 0 and 1.
 """
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -106,3 +111,79 @@ def test_mp_reflection():
         for x in (mpmath.mpf(1) / 7, mpmath.mpf(3) / 5, mpmath.mpf("0.91")):
             res = abs(rogers_L_mp(x, dps=40) + rogers_L_mp(1 - x, dps=40) - 1)
             assert res < mpmath.mpf(10) ** -35
+
+
+# ---------------------------------------------------------------------------
+# accuracy contract of rogers_L_mp
+
+
+def _exact(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _oracle(x, dps):
+    """6/pi^2 (Li2(x) + ln(x) ln(1 - x)/2) from the exact input at dps + 40
+    digits, plus the digits that 1 - x loses near 1, through mpmath's
+    polylog and log1p: an evaluation independent of rogers_L_mp."""
+    fr = _exact(x)
+    lost = -math.floor(math.log10(1 - fr)) if Fraction(1, 2) < fr < 1 else 0
+    with mpmath.workdps(dps + 40 + lost):
+        xx = mpmath.mpf(fr.numerator) / fr.denominator
+        return 6 / mpmath.pi**2 * (mpmath.polylog(2, xx) + mpmath.log(xx) * mpmath.log1p(-xx) / 2)
+
+
+def _ulps(x, dps):
+    """|rogers_L_mp(x, dps) / L(x) - 1| in units of 2^-prec, prec the
+    bit precision of dps digits."""
+    val, ref = rogers_L_mp(x, dps), _oracle(x, dps)
+    assert isinstance(val, mpmath.mpf)
+    with mpmath.workdps(dps + 40):
+        return float(abs(val / ref - 1) * mpmath.mpf(2) ** mpmath.libmp.dps_to_prec(dps))
+
+
+def _seeded_inputs():
+    rng = random.Random(20260918)
+    for _ in range(120):
+        dps = rng.randint(15, 200)
+        den = rng.randint(2, 10 ** rng.randint(1, 40))
+        x = Fraction(rng.randint(1, den - 1), den)
+        if rng.random() < 0.5:
+            # an mpf input carrying up to 30 more digits than dps
+            with mpmath.workdps(dps + rng.randint(0, 30)):
+                x = mpmath.mpf(x.numerator) / x.denominator
+        yield x, dps
+
+
+@pytest.mark.parametrize("x, dps", list(_seeded_inputs()))
+def test_mp_relative_accuracy_seeded(x, dps):
+    # one unit in the last binary place at dps digits
+    assert _ulps(x, dps) <= 2.0
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(1, 10**300),
+    Fraction(3, 10**80),
+    Fraction(1, 10**36),
+    Fraction(7, 10**20),
+    Fraction(1, 2),
+    1 - Fraction(1, 10**20),
+    1 - Fraction(1, 10**60),
+])
+@pytest.mark.parametrize("dps", [15, 30, 60, 200])
+def test_mp_relative_accuracy_at_the_ends(x, dps):
+    # Tiny arguments keep their relative precision: ln(1 - x) ~ -x must
+    # not round to 0 in the log term.
+    assert _ulps(x, dps) <= 2.0
+    with mpmath.workdps(dps + 70):
+        assert _ulps(mpmath.mpf(x.numerator) / x.denominator, dps) <= 2.0
+
+
+def test_mp_exact_endpoints_and_domain():
+    for x, want in ((0, 0), (Fraction(0), 0), (1, 1), (1.0, 1), (mpmath.mpf(1), 1)):
+        assert rogers_L_mp(x, dps=30) == want
+    for bad in (-1, Fraction(11, 10), 1.5, float("nan"), float("inf"), mpmath.mpf("nan")):
+        with pytest.raises(DomainError):
+            rogers_L_mp(bad, dps=30)

@@ -165,6 +165,17 @@ def test_parse_malformed_catalogs(bad, fragment):
     assert fragment in str(exc.value)
 
 
+def test_entry_parses_its_expressions_when_made():
+    with pytest.raises(CatalogError, match="trailing tokens"):
+        IdentityEntry(
+            name="synthetic_malformed",
+            terms=((Fraction(1), "rho("),),
+            target=Fraction(1),
+            matrix=None,
+            source="synthetic check",
+        )
+
+
 # ---------------------------------------------------------------------------
 # the shipped catalog
 
@@ -212,6 +223,14 @@ def test_all_catalog_entries_verify_at_high_precision():
     for entry in load_catalog():
         residual = verify(entry, precision=1e-20)
         assert residual <= 1e-30, f"{entry.name}: mp residual {residual}"
+
+
+def test_all_catalog_entries_verify_at_sixty_digits():
+    # 75 working digits: every residual is rounding noise far below the
+    # requested 1e-60.
+    for entry in load_catalog():
+        residual = verify(entry, precision=1e-60)
+        assert residual <= 1e-60, f"{entry.name}: mp residual {residual}"
 
 
 def test_verify_precision_switch_boundary():

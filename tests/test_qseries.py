@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,25 @@ def test_eval_at_matches_direct_partial_sum():
 def test_eval_at_explicit_cutoff_agrees():
     full = eval_at(FORMS["chi_2_5"], 0.3)
     assert abs(eval_at(FORMS["chi_2_5"], 0.3, cutoff=100) - full) < 1e-13
+
+
+@pytest.mark.parametrize("form", [
+    FermionicForm(
+        A=RationalSymmetricMatrix(F(5, 3), F(7, 6), 3), B=(2, F(1, 3)), lead=F(7, 10),
+        restrictions=((3, 2), (4, 1)),
+    ),
+    FermionicForm(A=F(5), B=(F(0),), restrictions=((12, 1),)),
+])
+def test_eval_at_certifies_an_underflowed_tail(form):
+    # The second period of shells (12 long) already sums to exactly 0.0
+    # at q = 0.1, so the ratio of period sums never certifies the tail;
+    # the terms beyond it underflow, so the tail is exactly zero.
+    start = time.perf_counter()
+    got = eval_at(form, 0.1)
+    assert time.perf_counter() - start < 1.0
+    want = expand(form, 60).eval_at(0.1)
+    assert got > 0.0
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_eval_at_tiny_cutoff_fails_tail_bound():
