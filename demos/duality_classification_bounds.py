@@ -68,7 +68,7 @@ for a, d in [(F(1), F(1, 4)), (F(9, 4), F(1)), (F(1, 2), F(1, 2))]:
     )
 
 # Bounds.  For a >= d > 0 the solution is bracketed by two decoupled
-# values; the bracket is tight enough to prune large searches.
+# values; the search records the bracket for every candidate it keeps.
 print()
 print("two-sided bounds on c")
 for A in [M(2, 1, 1), M(4, F(5, 2), 2), M(1, F(-1, 4), F(1, 2))]:

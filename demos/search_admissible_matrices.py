@@ -4,10 +4,11 @@ Searching matrix families for rational dilogarithm sums
 
 Which rational symmetric matrices give a rational c?  The search
 module enumerates all in-range matrices with bounded numerators and
-denominators, prunes with the exact two-sided bounds, solves the rest,
-and keeps the candidates whose c is recognized as a minimal-model
-value 1 - 6/(st), a parafermionic value 2(n-1)/(n+2), or a small
-rational.  Duality pairs candidates up, so each pair is reported once.
+denominators, rejects exactly the singular a = d = -b (no solution),
+solves the rest, and keeps the candidates whose c is recognized as a
+minimal-model value 1 - 6/(st), a parafermionic value 2(n-1)/(n+2), or
+a small rational.  Duality pairs candidates up, so each pair is
+reported once.
 
 This script runs the integer-entry search, prints its report, and then
 a denominator-2 search large enough to recover several of the sporadic
@@ -22,8 +23,8 @@ F = Fraction
 
 # Integer entries up to 4.  Small enough to read end to end: the
 # report lists every admissible candidate with its recognition, the
-# matrices with multiple solutions, and the scan failures (here, the
-# antidiagonal family a = -b = d whose solutions collapse to xy = 1).
+# matrices with multiple solutions; the header's "pruned" counts the
+# antidiagonal family a = -b = d, whose equations collapse to xy = 1.
 config = SearchConfig(max_numerator=4, max_denominator=1)
 report = run_search(config)
 print(report_text(report))

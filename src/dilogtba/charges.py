@@ -15,9 +15,8 @@ t, s being the largest divisor of |s t| below the square root that is
 coprime to its cofactor.
 
 The minimal and parafermionic values up to (max_st, max_n) form one
-sorted Spectrum, built once per bound pair.  recognize reads its
-candidates from the Spectrum by bisection, and the search's bounds
-prune asks the same Spectrum whether an interval meets it.
+sorted Spectrum, built once per bound pair, from which recognize
+reads its candidates by bisection.
 """
 
 from __future__ import annotations
@@ -120,11 +119,6 @@ class Spectrum:
 
     values: tuple[float, ...]
     labels: tuple[int, ...]
-
-    def meets(self, lo: float, hi: float) -> bool:
-        """Whether some value lies in [lo, hi]."""
-        i = bisect_left(self.values, lo)
-        return i < len(self.values) and self.values[i] <= hi
 
 
 @lru_cache(maxsize=8)

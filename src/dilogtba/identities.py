@@ -42,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 import mpmath
@@ -335,10 +336,11 @@ def serialize_catalog(entries: list[IdentityEntry]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def load_catalog() -> list[IdentityEntry]:
-    """The packaged catalog, parsed."""
+@lru_cache(maxsize=1)
+def load_catalog() -> tuple[IdentityEntry, ...]:
+    """The packaged catalog, parsed once per process."""
     text = resources.files("dilogtba").joinpath("data/identities.txt").read_text("utf-8")
-    return parse_catalog(text)
+    return tuple(parse_catalog(text))
 
 
 # ---------------------------------------------------------------------------

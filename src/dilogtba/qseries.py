@@ -415,8 +415,8 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     decay.  With cutoff=None, shells are added until the geometric
     tail bound (last period sum times ratio/(1-ratio), ratio between
     the last two period sums) falls below 1e-14 of the partial sum, or
-    until a period sums to 0.0 after a positive one and no later shell
-    holds a term that escapes underflow (tail exactly 0); an explicit
+    until a period sums to 0.0 and no later shell holds a term that
+    escapes underflow (tail exactly 0; the sum may be 0.0 too); an explicit
     cutoff sums m <= cutoff and still requires the tail to be certified
     by one of the two.  Either way at most max(m) = 200 000 (r = 1) or
     5 000 (r = 2) is summed.  TailBoundError reports failures.
@@ -460,15 +460,14 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
         total += shell
         block += shell
         if (M + 1) % period == 0:
-            if block == 0.0 and total > 0.0:
+            if block == 0.0:
                 # A term is 0.0 exactly when exp(ln q * exponent)
                 # underflows (dividing by (q)_n <= 1 cannot make it 0.0),
                 # which holds for every exponent above 746 / -ln q.  A
-                # whole period of 0.0 after a positive sum is the sign of
-                # that regime, where the ratio test has nothing to divide;
-                # the exact walk finds the last shell holding an allowed
-                # point below that bound.  Every later term is 0.0, so
-                # the tail is exactly zero.
+                # whole period of 0.0 is the sign of that regime, where the
+                # ratio test has nothing to divide; the exact walk finds the
+                # last shell holding an allowed point below that bound.
+                # Every later term is 0.0, so the tail is exactly zero.
                 if last is None:
                     room = math.ceil(746.0 * L / -lnq) - lead
                     shells = (max((*outer, m)) for outer, m, _ in _points(form, room))

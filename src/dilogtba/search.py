@@ -6,15 +6,16 @@ through a cheap-to-expensive pipeline:
 
     entry range check and orientation (exact, on integer numerators
        over one common denominator; only matrices in range are built)
-    -> two-sided bounds vs the spectrum table (prune, d > 0 only)
+    -> the singular a = d = -b != 0, whose equations force xy = 1,
+       rejected exactly (tba.forces_xy_one; counted as pruned)
     -> solve the TBA system (grid scan + bisection)
     -> recognize c against minimal / parafermionic / rational spectra
-    -> for kept candidates only: classification of c vs 1 and the
-       uniqueness guarantee (exact, recorded)
+    -> for kept candidates only: classification of c vs 1, the
+       uniqueness guarantee and, for d > 0, the two-sided bounds on c
+       (exact, recorded)
 
-The prune and the recognition read the same table of minimal and
-parafermionic values (charges.spectrum), built once per
-(max_st, max_n).  Matrices whose scan finds several interior solutions
+Acceptance is the one predicate of the recognition: a match in any of
+the three spectra.  Matrices whose scan finds several interior solutions
 go to a separate "nonunique" section (all solutions listed) instead of
 the admissible list when require_uniqueness is set.  Solver failures
 are recorded per matrix, never fatal.  Candidates whose best match residual exceeds
@@ -43,9 +44,9 @@ from .analysis import (
     dual,
     uniqueness_guarantee,
 )
-from .charges import ChargeMatch, recognize, spectrum
+from .charges import ChargeMatch, recognize
 from .errors import ScanFailure, SingularMatrixError
-from .tba import RationalSymmetricMatrix, TbaSolution, _as_fraction, solve_r2
+from .tba import RationalSymmetricMatrix, TbaSolution, _as_fraction, forces_xy_one, solve_r2
 
 __all__ = [
     "SearchConfig",
@@ -190,8 +191,6 @@ def _entries(cfg: SearchConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
 
 def run_search(cfg: SearchConfig) -> SearchReport:
     """Enumerate, filter, solve, and recognize; see the module docstring."""
-    table = spectrum(cfg.max_st, cfg.max_n)
-    margin = 1e-6
     report = SearchReport()
     entries = _entries(cfg)
     report.scanned = len(entries)
@@ -200,15 +199,9 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     # report section
     for a, b, d in entries:
         A = RationalSymmetricMatrix(a, b, d)
-        bounds = None
-        if d > 0:  # a >= d by enumeration
-            bounds = bounds_on_c(A)
-            # bounds on c lie in [0, 2]; the table's values outside it
-            # (n < 6) are -0.2 or below and 2.2 or above, so never met
-            if not table.meets(bounds.lower - margin, bounds.upper + margin):
-                report.pruned += 1
-                continue
-
+        if forces_xy_one(A):
+            report.pruned += 1
+            continue
         try:
             sol = solve_r2(A, grid_n=cfg.grid_n)
         except ScanFailure as exc:
@@ -235,7 +228,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         flags = PropFlags(
             classification=classify_vs_one(A),
             uniqueness_guarantee=uniqueness_guarantee(A),
-            bounds=bounds,
+            bounds=bounds_on_c(A) if d > 0 else None,  # a >= d by enumeration
         )
         section.append(Candidate(A=A, c=sol.c, matches=match, solution=sol,
                                  prop_flags=flags, suspect=suspect))

@@ -125,11 +125,18 @@ class RationalSymmetricMatrix:
 def check_range(A: RationalSymmetricMatrix) -> bool:
     """Entry conditions a, d >= 0 and b >= -min(a, d), checked exactly.
 
-    These are sufficient for the r=2 system to have a solution in the
-    unit square; with b < 0 they also force D >= 0.
+    With b < 0 they force D >= 0.  They do not guarantee a solution in
+    the unit square (see forces_xy_one).
     """
     a, b, d, _ = A.integers
     return a >= 0 and d >= 0 and b >= -min(a, d)
+
+
+def forces_xy_one(A: RationalSymmetricMatrix) -> bool:
+    """a = d = -b != 0, exactly: the r=2 equations then multiply to xy = 1,
+    so no solution exists (the boundary points need a = 0 or d = 0)."""
+    a, b, d, _ = A.integers
+    return a == d == -b != 0
 
 
 @dataclass(frozen=True)
@@ -409,10 +416,10 @@ def solve_r2(
     the interior one with smallest y; boundary solutions are listed
     separately and promoted to principal only when nothing interior
     exists.  Raises RangeViolation outside the admissible entry range
-    and ScanFailure when no solution is found (or when the solution set
-    is a continuum, which happens exactly for a = d = 0, b = 1/2).
+    and ScanFailure when no solution is found, before the scan for
+    a = d = 0, b = 1/2 (a continuum) and a = d = -b != 0 (xy = 1).
 
-    The entry range is sufficient but not necessary for a solution:
+    The entry range is neither sufficient nor necessary for a solution:
     some continuous families (for example b = 1/2 - sqrt(ad) with large
     ad) leave it yet still solve.  Pass enforce_range=False to scan
     such matrices anyway; outside the range nothing is guaranteed and
@@ -437,6 +444,8 @@ def solve_r2(
         raise ScanFailure(
             "a = d = 0, b = 1/2 has a one-parameter continuum of solutions x + y = 1"
         )
+    if forces_xy_one(A):
+        raise ScanFailure(f"a = d = -b in {A} forces xy = 1, which has no solution in (0,1)^2")
 
     # boundary fixed points
     boundary: list[tuple[float, float]] = []

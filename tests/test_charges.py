@@ -215,8 +215,6 @@ def test_table_recognize_matches_the_plain_scan(point, max_st, max_n, max_den):
     c, tol = point
     assert recognize(c, tol, max_st, max_n, max_den) == \
         _reference_recognize(c, tol, max_st, max_n, max_den)
-    table = spectrum(max_st, max_n)
-    assert table.meets(c - tol, c + tol) == any(c - tol <= v <= c + tol for v in table.values)
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,13 @@ def test_overflowing_computation_exits_1(argv, error):
     assert err.startswith(f"error: {error}") and "Traceback" not in err
 
 
+def test_xy_one_matrix_exits_1_naming_the_cause():
+    code, out, err = run_cli(["solve", "-A", "1", "-1", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ScanFailure") and "forces xy = 1" in err
+    assert "Traceback" not in err
+
+
 def test_negative_fraction_matrix_entries_parse():
     code, _, _ = run_cli(["solve", "-A", "4", "-3/2", "1", "--no-range-check"])
     assert code == 0
@@ -454,6 +461,24 @@ def test_verify_identities_custom_catalog(tmp_path):
     code, _, err = run_cli(["verify-identities", "--catalog", str(malformed)])
     assert code == 1
     assert "outside any record" in err
+
+
+def test_verify_identities_parses_the_packaged_catalog_once(tmp_path):
+    from dilogtba import identities
+
+    identities.load_catalog.cache_clear()
+    with mock.patch.object(identities, "parse_catalog", wraps=identities.parse_catalog) as parse:
+        for _ in range(2):
+            assert run_cli(["verify-identities", "--no-header"])[0] == 0
+    assert parse.call_count == 1
+    assert isinstance(identities.load_catalog(), tuple)
+
+    # a --catalog file is read again on every request
+    path = tmp_path / "catalog.txt"
+    for target, code in (("2/5", 0), ("1/2", 1)):
+        path.write_text(f"identity golden\n  term 1 (3-sqrt(5))/2\n  target {target}\n"
+                        "  source classical value\nend\n")
+        assert run_cli(["verify-identities", "--catalog", str(path)])[0] == code
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,14 @@ def test_eval_at_certifies_an_underflowed_tail(form):
     assert abs(got - want) <= 1e-12 * want
 
 
+def test_eval_at_returns_zero_when_every_term_underflows():
+    # the true value is about 1e-800: every term, the first included,
+    # underflows at q = 0.01, so the correctly rounded sum is 0.0
+    start = time.perf_counter()
+    assert eval_at(FermionicForm(A=F(1), B=(F(0),), lead=F(400)), 0.01) == 0.0
+    assert time.perf_counter() - start < 1.0
+
+
 def test_eval_at_tiny_cutoff_fails_tail_bound():
     with pytest.raises(TailBoundError):
         eval_at(FORMS["chi_2_5"], 0.9, cutoff=3)

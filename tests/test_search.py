@@ -2,22 +2,28 @@
 
 The small exact enumeration with integer entries up to 4 is frozen as
 an oracle: its scan counts, the two multi-solution systems, and the
-four matrices of the form (k, -k, k) whose scan finds no solution (the
+four matrices of the form (k, -k, k) rejected before the scan (the
 coupled equations force x y = 1 there, which no interior pair
-satisfies).  Recovery of the known named systems is exercised through
-the shipped example configurations, and duality deduplication is
-checked both on search output and on synthetic candidate pairs.
+satisfies).  A brute-force loop that solves and recognizes every
+enumerated matrix pins the admissible set.  Recovery of the known named
+systems is exercised through the shipped example configurations, and
+duality deduplication is checked both on search output and on synthetic
+candidate pairs.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
 
+from dilogtba import search
 from dilogtba.analysis import classify_vs_one, dual, uniqueness_guarantee
 from dilogtba.charges import recognize
+from dilogtba.errors import ScanFailure
 from dilogtba.search import (
     EXAMPLE_CONFIGS,
     Candidate,
@@ -28,7 +34,7 @@ from dilogtba.search import (
     report_text,
     run_search,
 )
-from dilogtba.tba import RationalSymmetricMatrix, solve_r2
+from dilogtba.tba import RationalSymmetricMatrix, forces_xy_one, solve_r2
 
 F = Fraction
 
@@ -41,6 +47,19 @@ def small_report():
 @pytest.fixture(scope="module")
 def den2_report():
     return run_search(EXAMPLE_CONFIGS["den2"])
+
+
+def _validated_json(report) -> dict:
+    """report_json of report, checked against the shipped output schema."""
+    text = report_json(report)
+    assert "Infinity" not in text
+    doc = json.loads(text)
+    schema = json.loads(
+        resources.files("dilogtba").joinpath("data/cli_output.schema.json").read_text()
+    )
+    sub = {"$ref": "#/$defs/search_report", "$defs": schema["$defs"]}
+    jsonschema.Draft202012Validator(sub).validate(doc)
+    return doc
 
 
 def _make_candidate(A: RationalSymmetricMatrix) -> Candidate:
@@ -102,11 +121,11 @@ def test_example_configs_cover_the_documented_grids():
 def test_small_run_counts(small_report):
     rep = small_report
     assert rep.scanned == 95
-    assert rep.pruned == 12
-    assert rep.solved == 79
+    assert rep.pruned == 4
+    assert rep.solved == 91
     assert len(rep.admissible) == 25
     assert len(rep.nonunique) == 2
-    assert len(rep.failures) == 4
+    assert len(rep.failures) == 0
     assert len(rep) == 25
     assert list(rep) == rep.admissible
 
@@ -149,11 +168,69 @@ def test_require_uniqueness_off_moves_matched_candidates():
 
 
 def test_scan_failures_are_recorded_not_fatal(small_report):
-    failed = {A: msg for A, msg in small_report.failures}
-    for k in range(1, 5):
-        A = RationalSymmetricMatrix(k, -k, k)
-        assert A in failed
-        assert "no solution" in failed[A]
+    failing = RationalSymmetricMatrix(2, 1, 1)
+
+    def solve(A, **kwargs):
+        if A == failing:
+            raise ScanFailure("no solution found")
+        return solve_r2(A, **kwargs)
+
+    with mock.patch.object(search, "solve_r2", side_effect=solve):
+        rep = run_search(SearchConfig(max_denominator=1, max_numerator=4))
+    assert rep.failures == [(failing, "no solution found")]
+    assert rep.solved == small_report.solved - 1
+    assert rep.pruned == small_report.pruned
+    assert [c.A for c in rep.admissible] == \
+        [c.A for c in small_report.admissible if c.A != failing]
+    lines = report_text(rep).splitlines()
+    assert lines[lines.index("failures:") + 1] == "  matrix 2 1 1: no solution found"
+    assert _validated_json(rep)["failures"] == [
+        {"matrix": {"a": "2", "b": "1", "d": "1"}, "message": "no solution found"}]
+
+
+def test_xy_one_matrices_are_pruned_before_the_scan(small_report):
+    # pruned counts exactly the a = d = -b matrices, none reaches solve_r2
+    with mock.patch.object(search, "solve_r2", side_effect=solve_r2) as solve:
+        rep = run_search(SearchConfig(max_denominator=1, max_numerator=4))
+    assert not any(forces_xy_one(call.args[0]) for call in solve.call_args_list)
+    assert solve.call_count == rep.solved == small_report.solved
+    assert rep.pruned == 4
+
+
+def _brute_force_admissible(cfg: SearchConfig) -> dict:
+    """Solve and recognize every in-range a >= d matrix that has a solution."""
+    values = cfg.entry_values()
+    b_values = sorted(set(values) | {-v for v in values})
+    out = {}
+    for a in values:
+        for d in values:
+            for b in b_values:
+                if d > a or b < -d or (a == d == 0 and b == F(1, 2)):
+                    continue
+                A = RationalSymmetricMatrix(a, b, d)
+                if forces_xy_one(A):
+                    continue
+                sol = solve_r2(A, grid_n=cfg.grid_n)
+                match = recognize(sol.c, tol=cfg.tolerance, max_st=cfg.max_st,
+                                  max_n=cfg.max_n, max_den=cfg.max_den)
+                if sol.multiplicity == 1 and not match.empty:
+                    out[A] = match
+    return out
+
+
+@pytest.mark.parametrize("name", ["den2", "den4"])
+def test_admissible_set_equals_the_brute_force_loop(name, den2_report):
+    cfg = EXAMPLE_CONFIGS[name]
+    report = den2_report if name == "den2" else run_search(cfg)
+    found = {c.A: c.matches for c in report.admissible}
+    assert found == _brute_force_admissible(cfg)
+    assert not report.failures
+    # rational-only matches, which a test of the bounds on c against the
+    # minimal and parafermionic values alone would drop
+    for entries, pq in [((8, 1, 7), (2333, 7484)), ((8, -3, 7), (3784, 8821))]:
+        match = found[RationalSymmetricMatrix(*entries)]
+        assert match.rational == pq
+        assert match.minimal is None and match.parafermion is None
 
 
 def test_search_is_deterministic():
@@ -246,26 +323,17 @@ def test_dedupe_passes_through_self_dual_and_singular():
 def test_report_text_layout(small_report):
     text = report_text(small_report)
     lines = text.splitlines()
-    assert lines[0] == "scanned 95  pruned 12  solved 79"
-    assert lines[1] == "admissible 25  nonunique 2  failures 4"
+    assert lines[0] == "scanned 95  pruned 4  solved 91"
+    assert lines[1] == "admissible 25  nonunique 2  failures 0"
     assert "nonunique section (all interior solutions listed):" in lines
-    assert "failures:" in lines
+    assert "failures:" not in lines
     assert any(line.startswith("matrix 1 4 1") for line in lines)
     assert sum(line.startswith("    solution x = ") for line in lines) == 5
     assert text.endswith("\n")
 
 
 def test_report_json_matches_schema(small_report):
-    from importlib import resources
-
-    text = report_json(small_report)
-    assert "Infinity" not in text
-    doc = json.loads(text)
-    schema = json.loads(
-        resources.files("dilogtba").joinpath("data/cli_output.schema.json").read_text()
-    )
-    sub = {"$ref": "#/$defs/search_report", "$defs": schema["$defs"]}
-    jsonschema.Draft202012Validator(sub).validate(doc)
+    doc = _validated_json(small_report)
     assert doc["scanned"] == 95
     assert len(doc["admissible"]) == 25
     # empty matches encode their residual as -1 (infinity is not JSON)
@@ -282,14 +350,13 @@ def test_report_json_is_deterministic(small_report):
     assert report_json(small_report) == report_json(small_report)
 
 
-# sha256 of report_text and report_json, recorded before the enumeration
-# moved to integer numerators and the prune and recognition to one
-# cached spectrum table; any change to the reports' bytes fails here.
+# sha256 of report_text and report_json; any change to the reports'
+# bytes fails here.
 _REPORT_DIGESTS = {
-    "den2": ("714f25bc1c63865acf497f54e38bd1ee5aaeca9799c0ff4d90caf356dccd4657",
-             "cf79c13d14b6c058cf3697c4c645f426b26ef52d43e4c9b26ea49ec659ffb707"),
-    "symmetric": ("6a9972a130bc70311dc72d6b68081e080b8cbfa994e4b86b5e0806e3b1ed2b9d",
-                  "13b0b9d8af7693973679c02404dc9fe881921d401d106ac73640a238821c9f53"),
+    "den2": ("f6e88f10bf9b1a06411291193efc1f00ecc7f272fddbf5ced00a30cd00827360",
+             "e13f54674b8951d17986beef31c8149aa3150be5af4ccc285c069aa8490dc210"),
+    "symmetric": ("20059b7312e07771ae9ddc19d2846e6ad341cfbf49a9835642254451347e05f1",
+                  "54f6ed7a1e6366c2dbba0875e0ba4ebc2c8ad4f9f27e76ab059b9c5ccb4694f2"),
     "fix_d_window": ("402afee85d04d4d5fc425cc1ad79f48f5bab277ab973b749b41e5cb30f13293b",
                      "db445e4940c8672dfef7375485684441a9180d8ec6c76da68c53c34a2a1e6823"),
 }

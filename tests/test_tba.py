@@ -8,6 +8,7 @@ solver.
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from dilogtba import (
     solve_r1,
     solve_r2,
 )
-from dilogtba.tba import _exponents, _scan
+from dilogtba.tba import _exponents, _scan, forces_xy_one
 
 RHO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -219,6 +220,21 @@ def test_no_solution():
     # b = -a with a = d forces xy = 1, impossible inside the square
     with pytest.raises(ScanFailure):
         solve_r2(M(1, -1, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, F(1, 6), F(7, 2), -2])
+def test_xy_one_matrices_fail_before_the_scan(k):
+    A = M(k, -k, k)
+    assert forces_xy_one(A)
+    with mock.patch("dilogtba.tba._scan", side_effect=AssertionError("scanned")):
+        with pytest.raises(ScanFailure, match="forces xy = 1"):
+            solve_r2(A, enforce_range=k > 0)
+
+
+def test_forces_xy_one_is_exactly_a_equals_d_equals_minus_b():
+    for entries in [(1, -1, 2), (2, -1, 1), (1, 1, 1), (0, 0, 0), (1, 0, 1),
+                    (F(1, 2), F(-1, 3), F(1, 2))]:
+        assert not forces_xy_one(M(*entries)), entries
 
 
 def test_solution_continuum():
