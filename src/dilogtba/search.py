@@ -8,7 +8,10 @@ through a cheap-to-expensive pipeline:
        over one common denominator; only matrices in range are built)
     -> the singular a = d = -b != 0, whose equations force xy = 1,
        rejected exactly (tba.forces_xy_one; counted as pruned)
-    -> solve the TBA system (grid scan + bisection)
+    -> scan the grid for 16 matrices at a time (tba.prescan: one numpy
+       pass per block, results held only until each matrix is solved)
+    -> solve the TBA system one matrix at a time (the block's scan,
+       then bisection)
     -> recognize c against minimal / parafermionic / rational spectra
     -> for kept candidates only: classification of c vs 1, the
        uniqueness guarantee and, for d > 0, the two-sided bounds on c
@@ -46,7 +49,7 @@ from .analysis import (
 )
 from .charges import ChargeMatch, recognize
 from .errors import ScanFailure, SingularMatrixError
-from .tba import RationalSymmetricMatrix, TbaSolution, _as_fraction, forces_xy_one, solve_r2
+from .tba import RationalSymmetricMatrix, TbaSolution, _as_fraction, forces_xy_one, prescan, solve_r2
 
 __all__ = [
     "SearchConfig",
@@ -93,6 +96,8 @@ class SearchConfig:
             raise ValueError("max_numerator and max_denominator must be positive")
         if self.tolerance < 1e-10:
             raise ValueError(f"tolerance {self.tolerance} is below the solver floor 1e-10")
+        if self.grid_n < 1001:
+            raise ValueError(f"grid_n {self.grid_n} is below the solver floor 1001")
         for name in ("entry_min", "entry_max", "fix_d"):
             v = getattr(self, name)
             if v is not None:
@@ -189,16 +194,20 @@ def _entries(cfg: SearchConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
     return [(a, b, d) for _, a, b, d in keyed]
 
 
+# Matrices scanned together by tba.prescan: the scan's fixed numpy cost is
+# paid once per block.
+_BLOCK = 16
+
+
 def run_search(cfg: SearchConfig) -> SearchReport:
     """Enumerate, filter, solve, and recognize; see the module docstring."""
     report = SearchReport()
     entries = _entries(cfg)
     report.scanned = len(entries)
 
-    # a matrix is built only when its turn comes, and kept only in a
-    # report section
-    for a, b, d in entries:
-        A = RationalSymmetricMatrix(a, b, d)
+    # a matrix is built only when its block's turn comes, and kept only in
+    # a report section
+    for A in _prescanned(entries, cfg.grid_n):
         if forces_xy_one(A):
             report.pruned += 1
             continue
@@ -228,12 +237,24 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         flags = PropFlags(
             classification=classify_vs_one(A),
             uniqueness_guarantee=uniqueness_guarantee(A),
-            bounds=bounds_on_c(A) if d > 0 else None,  # a >= d by enumeration
+            bounds=bounds_on_c(A) if A.d > 0 else None,  # a >= d by enumeration
         )
         section.append(Candidate(A=A, c=sol.c, matches=match, solution=sol,
                                  prop_flags=flags, suspect=suspect))
 
     return report
+
+
+def _prescanned(entries, grid_n: int):
+    """The matrices of entries, a block of _BLOCK built and prescanned
+    at a time; the prescan memo is emptied when the walk ends."""
+    try:
+        for start in range(0, len(entries), _BLOCK):
+            block = [RationalSymmetricMatrix(a, b, d) for a, b, d in entries[start:start + _BLOCK]]
+            prescan(block, grid_n)
+            yield from block
+    finally:
+        prescan((), grid_n)
 
 
 def dedupe_by_duality(cands: list[Candidate]) -> list[Candidate]:

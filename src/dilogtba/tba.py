@@ -30,7 +30,15 @@ whose bounds clear 1 by a relative margin far above the rounding error
 cannot hold a zero or a sign change.  The fine pass evaluates only the
 remaining cells, with the same grid values and operations as a scan of
 every point, so the brackets and every root are bit-identical to it;
-exponents too large for the margin to cover refine every cell.  For
+exponents too large for the margin to cover refine every cell.  One
+kernel, _scan_block, runs both passes for a block of exponent rows at
+once; every value is computed elementwise, so a row's result does not
+depend on the block it is scanned in.  A lone solve scans a block of
+one.  prescan scans a block of matrices ahead of their solves and keeps
+the results, keyed by exponents and grid size, until solve_r2 takes
+them or the next prescan replaces them; the search prescans its
+matrices a block at a time, paying numpy's fixed cost per call once per
+block.  For
 b = 0 the system decouples into two r=1 problems.
 Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
 (resp. a = 0) with b > 0; they are reported separately from interior
@@ -296,72 +304,133 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
     return one_minus_x + x
 
 
-# The sign scan of f - 1 (see _scan): every _STRIDE-th grid point is
-# evaluated first, and a cell between two of them is skipped only when its
-# monotonicity bounds clear 1 by the relative _MARGIN.
+# The sign scan of f - 1 (see _scan_block): every _STRIDE-th grid point
+# is evaluated first, and a cell between two of them is skipped only when
+# its monotonicity bounds clear 1 by the relative _MARGIN.
 _STRIDE = 64
 _MARGIN = 1e-9
 _CELL = np.arange(_STRIDE + 1)
 
+_Scan = tuple[list[float], list[tuple[float, float, float]]]
 
-def _scan(p, n: int) -> tuple[list[float], list[tuple[float, float, float]]]:
-    """Exact zeros and sign changes of g = f - 1 on y_k = (k+1)/(n+1), k < n.
 
-    Returns the ascending y_k with g(y_k) == 0 and, ascending, the
-    brackets (y_k, y_k+1, g(y_k)) where g changes sign: exactly what
+@lru_cache(maxsize=4)
+def _coarse_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerators k + 1 = 1, S + 1, 2S + 1, ..., n of the coarse points
+    y = (k+1)/(n+1), and log y and log(1-y) there."""
+    kp = np.minimum(np.arange(1, n + _STRIDE, _STRIDE), n)
+    y = kp / (n + 1)
+    grid = kp, np.log(y), np.log1p(-y)
+    for a in grid:
+        a.flags.writeable = False  # every scan at this n shares them
+    return grid
+
+
+def _scan_block(P, n: int) -> list[_Scan]:
+    """Exact zeros and sign changes of g = f - 1 on y_k = (k+1)/(n+1), k < n,
+    for each row p of the (k, 4) exponent array P.
+
+    Returns per row the ascending y_k with g(y_k) == 0 and, ascending,
+    the brackets (y_k, y_k+1, g(y_k)) where g changes sign: exactly what
     evaluating g on all n points finds, each value bit-identical, while
     g is evaluated only in cells that can hold a zero or a sign change.
+    Every value is computed elementwise, so a row's result does not
+    depend on the other rows.
 
     The coarse pass evaluates the two terms at k = 0, S, 2S, ... and
-    n - 1 (S = _STRIDE).  A term y^p (1-y)^q is monotone on any cell
-    that avoids its critical point p/(p+q), which is interior only when
-    p and q have the same sign; on such a cell f lies between lo, the
-    sum of the terms' smaller end values, and hi, the sum of the larger.
-    Each computed term is within a relative 8 eps (1 + w) of its exact
-    value, w = (|p| + |q|) log(n+1) bounding |p log y| + |q log(1-y)|
-    over the grid, so a cell away from both critical points with
+    n - 1 (S = _STRIDE), for all rows as one (k x cells+1) array.  A
+    term y^p (1-y)^q is monotone on any cell that avoids its critical
+    point p/(p+q), which is interior only when p and q have the same
+    sign; on such a cell f lies between lo, the sum of the terms'
+    smaller end values, and hi, the sum of the larger.  Each computed
+    term is within a relative 8 eps (1 + w) of its exact value,
+    w = (|p| + |q|) log(n+1) bounding |p log y| + |q log(1-y)| over the
+    grid, so a cell away from both critical points with
     lo (1 - _MARGIN) > 1 or hi (1 + _MARGIN) < 1 keeps one sign at every
     grid point; a NaN end value certifies nothing.  When the exponents
-    make that error exceed the margin (e.g. b = 1/10^33), every cell is
-    refined.  The fine pass evaluates the refined cells, end points
-    included, as one (cells x S+1) block.
+    make that error exceed the margin (e.g. b = 1/10^33), every cell of
+    the row is refined.  The fine pass evaluates the refined (row, cell)
+    pairs, end points included, as (pairs x S+1) arrays of at most one
+    row's worth of cells each.
     """
+    P = np.asarray(P, dtype=np.float64).reshape(-1, 4)
+    hits: list[set[float]] = [set() for _ in range(len(P))]
+    flips: list[list[tuple[float, float, float]]] = [[] for _ in range(len(P))]
+    kp, ly, l1y = _coarse_grid(n)
     # inf * 0 in the sign test below is NaN, which is not a flip
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # coarse pass over numerators k + 1 = 1, S + 1, 2S + 1, ..., n
-        kp = np.minimum(np.arange(1, n + _STRIDE, _STRIDE), n)
-        y = kp / (n + 1)
-        t0, t1 = _terms(p, np.log(y), np.log1p(-y), _exp_in_place)
-        lo = np.minimum(t0[:-1], t0[1:])
-        lo += np.minimum(t1[:-1], t1[1:])
+        t0, t1 = _terms(P.T[:, :, None], ly, l1y, _exp_in_place)
+        lo = np.minimum(t0[:, :-1], t0[:, 1:])
+        lo += np.minimum(t1[:, :-1], t1[:, 1:])
         lo *= 1.0 - _MARGIN
-        hi = np.maximum(t0[:-1], t0[1:])
-        hi += np.maximum(t1[:-1], t1[1:])
+        hi = np.maximum(t0[:, :-1], t0[:, 1:])
+        hi += np.maximum(t1[:, :-1], t1[:, 1:])
         hi *= 1.0 + _MARGIN
         refine = ~((lo > 1.0) | (hi < 1.0))
-        w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
-        if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
-            refine[:] = True
-        for e, q in (p[:2], p[2:]):
-            if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
-                # the cell holding the critical point, and its neighbours
-                j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
-                refine[max(j - 1, 0):j + 2] = True
+        cells = refine.shape[1]
+        # per row, as Python floats: for the few rows of a block this is
+        # cheaper than a dozen numpy calls on k-element arrays
+        for i, p in enumerate(P.tolist()):
+            w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
+            if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
+                refine[i] = True
+            for e, q in (p[:2], p[2:]):
+                if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
+                    # the cell holding the critical point, and its neighbours
+                    j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
+                    refine[i, max(j - 1, 0):j + 2] = True
 
         # fine pass; the last cell is padded by repeating y_(n-1)
-        y = np.minimum(kp[np.flatnonzero(refine), None] + _CELL, n) / (n + 1)
-        one_minus_x, g = _terms(p, np.log(y), np.log1p(-y), _exp_in_place)
-        g += one_minus_x
-        g -= 1.0
-        # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
-        # so the product of neighbours cannot underflow: it is negative
-        # exactly at a sign change, and NaN or 0 (never a flip) otherwise
-        rows, cols = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
-    # an exact zero is a root, not a flip; neighbouring cells share an
-    # end point and the padding repeats one, so a zero can be seen twice
-    hits = sorted({float(v) for v in y[g == 0.0]})
-    flips = [(float(y[r, c]), float(y[r, c + 1]), float(g[r, c])) for r, c in zip(rows, cols)]
-    return hits, flips
+        rows, cols = np.nonzero(refine)
+        for s in range(0, len(rows), cells):
+            r = rows[s:s + cells]
+            y = np.minimum(kp[cols[s:s + cells], None] + _CELL, n) / (n + 1)
+            one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y), _exp_in_place)
+            g += one_minus_x
+            g -= 1.0
+            # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
+            # so the product of neighbours cannot underflow: it is negative
+            # exactly at a sign change, and NaN or 0 (never a flip) otherwise
+            for i, c in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)):
+                flips[r[i]].append((float(y[i, c]), float(y[i, c + 1]), float(g[i, c])))
+            # an exact zero is a root, not a flip; neighbouring cells share an
+            # end point and the padding repeats one, so a zero can be seen twice
+            for i, c in zip(*np.nonzero(g == 0.0)):
+                hits[r[i]].add(float(y[i, c]))
+    return [(sorted(h), f) for h, f in zip(hits, flips)]
+
+
+# Scans of the block of matrices last passed to prescan, keyed by
+# (exponents, grid size) and taken out by _scan.
+_PRESCANNED: dict[tuple[tuple[float, float, float, float], int], _Scan] = {}
+
+
+def _scan(p, n: int) -> _Scan:
+    """_scan_block for the one exponent tuple p, or its prescanned result."""
+    return _PRESCANNED.pop((p, n), None) or _scan_block([p], n)[0]
+
+
+def prescan(matrices, grid_n: int) -> None:
+    """Scan, as one block, every matrix of matrices that solve_r2 would scan.
+
+    The results replace those of the previous call and wait for
+    solve_r2(A, grid_n) to take them, so solving a block of matrices
+    one by one costs one numpy pass instead of one per matrix.  Matrices
+    with b = 0, the a = d = 0, b = 1/2 continuum, the singular
+    a = d = -b and those whose exponents overflow are skipped, as
+    solve_r2 never scans them.  Each result is a function of the
+    exponents and grid_n alone, so the solutions do not change.
+    """
+    _PRESCANNED.clear()
+    ps = []
+    for A in matrices:
+        if A.b != 0:
+            try:
+                ps.append(_scanned_exponents(A))
+            except (DomainError, ScanFailure):
+                pass
+    if ps:
+        _PRESCANNED.update(zip([(p, grid_n) for p in ps], _scan_block(ps, grid_n)))
 
 
 def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
@@ -394,6 +463,22 @@ def _bisect_root(p, lo: float, hi: float, glo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _scanned_exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float, float]:
+    """_exponents(A) of a matrix with b != 0 that solve_r2 scans.
+
+    Raises ScanFailure for a = d = 0, b = 1/2 and a = d = -b != 0, which
+    are decided exactly, and DomainError when an exponent overflows.
+    """
+    a, b, d, m = A.integers  # b = 1/2 exactly when 2b = m
+    if a == 0 and d == 0 and 2 * b == m:
+        raise ScanFailure(
+            "a = d = 0, b = 1/2 has a one-parameter continuum of solutions x + y = 1"
+        )
+    if forces_xy_one(A):
+        raise ScanFailure(f"a = d = -b in {A} forces xy = 1, which has no solution in (0,1)^2")
+    return _exponents(A)
+
+
 def solve_r2(
     A: RationalSymmetricMatrix,
     grid_n: int = 100_000,
@@ -412,7 +497,9 @@ def solve_r2(
     relative 1e-9, far above the rounding error; exponents so large that
     the rounding error could reach the margin (e.g. b = 1/10^33) refine
     every cell.  The result is bit-identical to evaluating all grid_n
-    points.  The principal solution is
+    points.  When A was in the last block passed to prescan(..., grid_n),
+    the solve takes that block's scan of A instead of scanning again; the
+    scan is the same either way.  The principal solution is
     the interior one with smallest y; boundary solutions are listed
     separately and promoted to principal only when nothing interior
     exists.  Raises RangeViolation outside the admissible entry range
@@ -429,7 +516,7 @@ def solve_r2(
         raise DomainError(f"grid_n must be at least 1001 for reliable root separation, got {grid_n}")
     if enforce_range and not check_range(A):
         raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
-    a, b, d, m = A.integers  # b = 1/2 exactly when 2b = m
+    a, b, d, m = A.integers
 
     if b == 0:
         x, y = kappa(A.a), kappa(A.d)
@@ -440,12 +527,7 @@ def solve_r2(
             interior=(sol,),
         )
 
-    if a == 0 and d == 0 and 2 * b == m:
-        raise ScanFailure(
-            "a = d = 0, b = 1/2 has a one-parameter continuum of solutions x + y = 1"
-        )
-    if forces_xy_one(A):
-        raise ScanFailure(f"a = d = -b in {A} forces xy = 1, which has no solution in (0,1)^2")
+    p = _scanned_exponents(A)
 
     # boundary fixed points
     boundary: list[tuple[float, float]] = []
@@ -454,7 +536,6 @@ def solve_r2(
     if a == 0 and b > 0:
         boundary.append((1.0, 0.0))
 
-    p = _exponents(A)
     roots, flips = _scan(p, grid_n)
     for lo, hi, glo in flips:
         roots.append(_bisect_root(p, lo, hi, glo, tol))

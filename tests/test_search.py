@@ -20,7 +20,7 @@ from unittest import mock
 import jsonschema
 import pytest
 
-from dilogtba import search
+from dilogtba import search, tba
 from dilogtba.analysis import classify_vs_one, dual, uniqueness_guarantee
 from dilogtba.charges import recognize
 from dilogtba.errors import ScanFailure
@@ -99,6 +99,14 @@ def test_config_validation():
         SearchConfig(max_denominator=0)
     with pytest.raises(ValueError):
         SearchConfig(max_numerator=0)
+
+
+def test_config_rejects_a_grid_below_the_solver_floor():
+    # solve_r2 refuses grid_n < 1001; the search must not start on such a grid
+    for grid_n in (10, 1000):
+        with pytest.raises(ValueError, match="grid_n"):
+            SearchConfig(grid_n=grid_n)
+    assert run_search(SearchConfig(max_denominator=1, max_numerator=1, grid_n=1001)).solved == 6
 
 
 def test_config_coerces_exact_bounds():
@@ -188,13 +196,27 @@ def test_scan_failures_are_recorded_not_fatal(small_report):
         {"matrix": {"a": "2", "b": "1", "d": "1"}, "message": "no solution found"}]
 
 
-def test_xy_one_matrices_are_pruned_before_the_scan(small_report):
-    # pruned counts exactly the a = d = -b matrices, none reaches solve_r2
-    with mock.patch.object(search, "solve_r2", side_effect=solve_r2) as solve:
-        rep = run_search(SearchConfig(max_denominator=1, max_numerator=4))
-    assert not any(forces_xy_one(call.args[0]) for call in solve.call_args_list)
-    assert solve.call_count == rep.solved == small_report.solved
-    assert rep.pruned == 4
+def test_xy_one_matrices_are_pruned_before_the_scan():
+    # pruned counts exactly the a = d = -b matrices, none reaches solve_r2,
+    # and solve_r2 is called once per solve, failure and suspect re-solve:
+    # the small run, with suspect re-solves, and with a scan failure
+    for tolerance, failing in [(1e-9, None), (1e-7, None),
+                               (1e-9, RationalSymmetricMatrix(2, 1, 1))]:
+        def solve(A, **kwargs):
+            if A == failing:
+                raise ScanFailure("no solution found")
+            return solve_r2(A, **kwargs)
+
+        with mock.patch.object(search, "solve_r2", side_effect=solve) as spy:
+            rep = run_search(SearchConfig(max_denominator=1, max_numerator=4,
+                                          tolerance=tolerance))
+        assert not any(forces_xy_one(call.args[0]) for call in spy.call_args_list)
+        suspects = sum(c.suspect for c in rep.admissible + rep.nonunique)
+        assert spy.call_count == rep.solved + len(rep.failures) + suspects
+        assert (suspects > 0, len(rep.failures)) == (tolerance > 1e-9, failing is not None)
+        assert rep.pruned == 4
+        # no scan is left in the memo, not even the failing matrix's
+        assert not tba._PRESCANNED
 
 
 def _brute_force_admissible(cfg: SearchConfig) -> dict:

@@ -31,7 +31,8 @@ from dilogtba import (
     solve_r1,
     solve_r2,
 )
-from dilogtba.tba import _exponents, _scan, forces_xy_one
+from dilogtba import tba
+from dilogtba.tba import _exponents, _scan, _scan_block, forces_xy_one, prescan
 
 RHO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -500,6 +501,61 @@ _exponent_tuples = st.tuples(*[st.floats(-40.0, 40.0)] * 4)
 def test_scan_matches_the_full_grid(p, n):
     # every zero, every bracket and the sign of g at it, bit for bit
     assert _scan(p, n) == _full_scan(p, n)
+
+
+@st.composite
+def _exponent_blocks(draw):
+    """1 to 8 exponent rows and a permutation of them."""
+    rows = draw(st.lists(_in_range_matrices() | _bumps | _exponent_tuples,
+                         min_size=1, max_size=8))
+    return rows, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(block=_exponent_blocks(), n=_grid_ns)
+def test_block_scan_matches_the_full_grid_row_by_row(block, n):
+    # a row's result, bit for bit, depends on neither its neighbours nor
+    # its place in the block
+    rows, perm = block
+    expected = [_full_scan(p, n) for p in rows]
+    assert _scan_block(rows, n) == expected
+    assert _scan_block([rows[i] for i in perm], n) == [expected[i] for i in perm]
+
+
+# ---------------------------------------------------------------------------
+# the prescan memo
+
+
+def test_prescan_skips_the_matrices_solve_r2_never_scans():
+    never = [M(1, -1, 1), M(3, 0, 2), M(0, F(1, 2), 0), M(10**400, 1, 1),
+             M(1, F(1, 10**400), 1)]
+    with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
+        prescan(never, 20_001)
+    assert not tba._PRESCANNED
+    with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
+        prescan(never + [M(2, 1, 1)], 20_001)
+    block.assert_called_once_with([_exponents(M(2, 1, 1))], 20_001)
+    assert list(tba._PRESCANNED) == [(_exponents(M(2, 1, 1)), 20_001)]
+    prescan((), 20_001)
+    assert not tba._PRESCANNED
+
+
+def test_solves_outside_the_prescanned_block_match_the_record():
+    recorded = [M(*case[0]) for case in _RECORDED_SCAN_CASES]
+    try:
+        # the recorded matrices at another grid, then a block without them
+        for block in (recorded, [M(2, 1, 1), M(F(1, 2), F(1, 2), 1)]):
+            prescan(block, 20_000)
+            for case in _RECORDED_SCAN_CASES:
+                test_solve_r2_bit_identical_to_recorded(*case)
+            assert len(tba._PRESCANNED) == len(set(block))
+        # each recorded matrix prescanned at its own grid, then solved
+        for case in _RECORDED_SCAN_CASES:
+            prescan([M(*case[0])], case[1])
+            test_solve_r2_bit_identical_to_recorded(*case)
+            assert not tba._PRESCANNED
+    finally:
+        prescan((), 20_000)
 
 
 # ---------------------------------------------------------------------------
