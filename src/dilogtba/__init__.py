@@ -12,7 +12,6 @@ frontend (console script ``dilogtba``) exposes the same operations.
 
 from .algebraics import (
     AlgebraicNumber,
-    CONSTANTS,
     IntegerPolynomial,
     constant,
     count_real_roots,
@@ -96,6 +95,13 @@ from .tba import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "CONSTANTS":
+        return algebraics.CONSTANTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -5,10 +5,11 @@ with a rational isolating interval containing exactly one of its real
 roots.  Root counting uses Sturm sequences over exact rational
 arithmetic; isolation is bisection on the Sturm count; refinement is
 sign-change bisection.  Everything is exact until a caller asks for a
-float or an mpf.
+float or an mpf; to_mpf imports mpmath, on first use.
 
-The module also builds the small catalog of named constants appearing in
-the dilogarithm identity catalog:
+The module also names the constants of the dilogarithm identity catalog;
+constant(name) isolates and caches one root on first use, and CONSTANTS,
+the dict of all ten, is built on first access (module __getattr__):
 
     rho     positive root of  x^2 + x - 1          (golden ratio minus one)
     lam     root > 1 of       x^3 - x^2 - 2x + 1   (equals 2 cos(pi/7))
@@ -399,29 +400,39 @@ def _root_between(coeffs: tuple[int, ...], lo, hi) -> AlgebraicNumber:
 
 
 _CUBIC_LAM = (1, -2, -1, 1)      # t^3 - t^2 - 2t + 1   (roots 2cos(k pi/7))
-_CUBIC_ALPHA = (-1, -1, 2, 1)    # t^3 + 2t^2 - t - 1
-_CUBIC_BETA = (1, -1, -2, 1)     # t^3 - 2t^2 - t + 1
-_QUARTIC_DELTA = (-1, -1, 0, 2, 1)       # t^4 + 2t^3 - t - 1
 _QUARTIC_U = (-1, -3, 3, 1, 1)           # t^4 + t^3 + 3t^2 - 3t - 1
 _SEXTIC_MU_NU = (1, -7, 20, -28, 19, -7, 1)
 
-CONSTANTS: dict[str, AlgebraicNumber] = {
-    "rho": _root_between((-1, 1, 1), 0, 1),
-    "lam": _root_between(_CUBIC_LAM, 1, 2),
-    "gamma": _root_between(_CUBIC_LAM, 0, 1),
-    "alpha": _root_between(_CUBIC_ALPHA, 0, 1),
-    "beta": _root_between(_CUBIC_BETA, 0, 1),
-    "delta": _root_between(_QUARTIC_DELTA, 0, 1),
-    "u_plus": _root_between(_QUARTIC_U, 0, 1),
-    "u_minus": _root_between(_QUARTIC_U, -1, 0),
-    "mu": _root_between(_SEXTIC_MU_NU, 1, 29),
-    "nu": _root_between(_SEXTIC_MU_NU, 0, 1),
+# name -> (polynomial, window holding exactly the named root)
+_WINDOWS: dict[str, tuple[tuple[int, ...], int, int]] = {
+    "rho": ((-1, 1, 1), 0, 1),
+    "lam": (_CUBIC_LAM, 1, 2),
+    "gamma": (_CUBIC_LAM, 0, 1),
+    "alpha": ((-1, -1, 2, 1), 0, 1),         # t^3 + 2t^2 - t - 1
+    "beta": ((1, -1, -2, 1), 0, 1),          # t^3 - 2t^2 - t + 1
+    "delta": ((-1, -1, 0, 2, 1), 0, 1),      # t^4 + 2t^3 - t - 1
+    "u_plus": (_QUARTIC_U, 0, 1),
+    "u_minus": (_QUARTIC_U, -1, 0),
+    "mu": (_SEXTIC_MU_NU, 1, 29),
+    "nu": (_SEXTIC_MU_NU, 0, 1),
 }
+_ISOLATED: dict[str, AlgebraicNumber] = {}
 
 
 def constant(name: str) -> AlgebraicNumber:
-    """Look up a named catalog constant."""
-    try:
-        return CONSTANTS[name]
-    except KeyError:
-        raise DomainError(f"unknown constant {name!r}") from None
+    """Look up a named catalog constant; its root is isolated on first use."""
+    if name not in _ISOLATED:
+        try:
+            coeffs, lo, hi = _WINDOWS[name]
+        except KeyError:
+            raise DomainError(f"unknown constant {name!r}") from None
+        _ISOLATED.setdefault(name, _root_between(coeffs, lo, hi))  # racing calls keep one
+    return _ISOLATED[name]
+
+
+def __getattr__(name: str):
+    # CONSTANTS, the dict of every named constant, is built on first access
+    if name == "CONSTANTS":
+        globals()[name] = {n: constant(n) for n in _WINDOWS}
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

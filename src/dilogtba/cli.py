@@ -440,10 +440,12 @@ def _cmd_ceff(args) -> int:
 # parser
 
 
-# tokens like "-3/2" are matrix entries, not option flags; argparse only
-# knows plain negative numbers, so widen its matcher to cover fractions
-# on the top-level parser and the subcommands that take entries or values
-_NEGATIVE_TOKEN = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+# tokens like "-3/2" or "-1e-3" are entries or values, not option flags;
+# argparse knows only plain negative decimals, so widen its matcher to every
+# negative number Fraction or float reads (and -inf, -nan, rejected later)
+_D = r"\d+(_\d+)*"
+_NEGATIVE_TOKEN = re.compile(
+    rf"^-({_D}(/{_D})?|({_D}\.?({_D})?|\.{_D})(e[-+]?{_D})?|inf(inity)?|nan)$", re.IGNORECASE)
 _NEGATIVE_ENTRY_COMMANDS = ("solve", "classify", "bounds", "dual", "recognize")
 
 

@@ -13,6 +13,8 @@ geometrically convergent, and uses the reflection property
 for x > 1/2, which avoids the logarithmic singularity of the series
 representation near 1.  rogers_L does so in binary64; rogers_L_mp, the
 high-precision oracle, in integer fixed point on the exact argument.
+mpmath is imported inside rogers_L_mp and _unit_ratio, on first use, so
+a process that only needs binary64 values never loads it.
 
 Special values (exact):
 
@@ -30,18 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from mpmath import mp, mpf
-from mpmath.libmp import (
-    dps_to_prec,
-    from_int,
-    from_man_exp,
-    mpf_log,
-    mpf_mul,
-    pi_fixed,
-    round_nearest,
-    to_fixed,
-)
 
 from .errors import DomainError
 
@@ -128,12 +118,14 @@ def _unit_ratio(x, dps: int) -> tuple[int, int]:
     Fractions, ints, floats and mpfs convert exactly; anything else
     (a decimal string, say) goes through mpf at dps + 10 digits first.
     """
-    if not isinstance(x, (int, float, Fraction, mpf)):
-        with mp.workdps(dps + 10):
-            x = mp.mpf(x)
+    import mpmath
+
+    if not isinstance(x, (int, float, Fraction, mpmath.mpf)):
+        with mpmath.workdps(dps + 10):
+            x = mpmath.mpf(x)
     if not 0 <= x <= 1:  # also rejects nan
         raise DomainError(f"argument {x!r} outside [0, 1]")
-    if isinstance(x, mpf):
+    if isinstance(x, mpmath.mpf):
         man, exp = x.man_exp
         return (man, 1 << -exp) if exp < 0 else (man << exp, 1)
     return x.as_integer_ratio()
@@ -176,14 +168,17 @@ def rogers_L_mp(x, dps: int = 200):
     rounded L(x) unless L(x) lies within about 2^-40 units of the last
     place of a rounding boundary.
     """
+    import mpmath
+
+    lib = mpmath.libmp
     n, d = _unit_ratio(x, dps)
     flip = 2 * n > d
     if flip:
         n = d - n
-    prec = dps_to_prec(dps)
+    prec = lib.dps_to_prec(dps)
     if n == 0:
-        return mp.make_mpf(from_int(int(flip), prec))
-    bits = dps_to_prec(dps + 10) + 20
+        return mpmath.mp.make_mpf(lib.from_int(int(flip), prec))
+    bits = lib.dps_to_prec(dps + 10) + 20
     wp = bits + d.bit_length() - n.bit_length()
     one = 1 << wp
     X = (n << wp) // d
@@ -195,11 +190,11 @@ def rogers_L_mp(x, dps: int = 200):
         s += p // (k * k)
     # relative precision is all the logs and 6/pi^2 need; mpf_log adds
     # the bits that ln(1 - y) cancels by itself
-    log_y = mpf_log(from_man_exp(X, -wp), bits)
-    log_1y = mpf_log(from_man_exp(one - X, -wp), bits)
-    s += to_fixed(mpf_mul(log_y, log_1y), wp - 1)
-    pi = pi_fixed(bits)
+    log_y = lib.mpf_log(lib.from_man_exp(X, -wp), bits)
+    log_1y = lib.mpf_log(lib.from_man_exp(one - X, -wp), bits)
+    s += lib.to_fixed(lib.mpf_mul(log_y, log_1y), wp - 1)
+    pi = lib.pi_fixed(bits)
     r = (s * ((6 << 3 * bits) // (pi * pi))) >> bits
     if flip:
         r = one - r
-    return mp.make_mpf(from_man_exp(r, -wp, prec, round_nearest))
+    return mpmath.mp.make_mpf(lib.from_man_exp(r, -wp, prec, lib.round_nearest))

@@ -33,7 +33,8 @@ verify() evaluates an entry's residual |sum coeff L(arg) - target| in
 binary64 (arguments resolved from isolating intervals refined to 1e-20)
 or, for precision requests below 1e-13, in mpmath arbitrary precision,
 where each L(arg) comes from dilog.rogers_L_mp: the mpf argument taken
-exactly and the series summed as one integer fixed-point pass.
+exactly and the series summed as one integer fixed-point pass.  Only the
+mp branches of evaluate_expression and verify import mpmath, on first use.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-
-import mpmath
 
 from .algebraics import constant
 from .dilog import rogers_L, rogers_L_mp
@@ -183,6 +182,8 @@ def evaluate_expression(node, mode: str = "float", dps: int = 50):
                 raise DomainError(f"sqrt of negative value {v}")
             return math.sqrt(v)
     elif mode == "mp":
+        import mpmath
+
         def leaf_num(fr):  return mpmath.mpf(fr.numerator) / fr.denominator
         def leaf_const(nm): return constant(nm).to_mpf(dps)
         def do_sqrt(v):
@@ -369,6 +370,8 @@ def verify(entry: IdentityEntry, precision: float = 1e-12) -> float:
             for (coeff, _), arg in zip(entry.terms, args)
         )
         return abs(total - float(entry.target))
+
+    import mpmath
 
     dps = max(30, int(math.ceil(-math.log10(precision))) + 15)
     args = entry.arguments("mp", dps)

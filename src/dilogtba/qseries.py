@@ -21,7 +21,8 @@ estimate_ceff() extrapolates the q -> 1 growth
 to eps -> 0 through a linear least-squares fit of
 s(eps) = (6 eps/pi^2) ln chi(e^-eps), whose intercept estimates the
 effective central charge; by duality this matches the dilogarithm sum
-c[A] of the TBA system with the same matrix.
+c[A] of the TBA system with the same matrix.  The fit, numpy's polyfit,
+is the module's only numpy use: estimate_ceff imports numpy when it runs.
 
 The shipped FORMS are the seven catalog characters: three r=1 forms
 (effective charges 2/5, 1/2, 3/5) and four r=2 forms (5/7, 4/5, 3/4,
@@ -35,8 +36,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DomainError, NonTerminatingSeries, RangeViolation, TailBoundError
 from .tba import _HALF, RationalSymmetricMatrix, _as_fraction
@@ -521,6 +520,8 @@ def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> flo
         if val <= 0.0:
             raise TailBoundError(f"series value {val} at eps={e} is not positive")
         s_vals.append(6.0 * e / math.pi**2 * math.log(val))
+    import numpy as np
+
     slope, intercept = np.polyfit(np.array(eps), np.array(s_vals), 1)
     return float(intercept)
 

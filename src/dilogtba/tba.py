@@ -38,7 +38,8 @@ one.  prescan scans a block of matrices ahead of their solves and keeps
 the results, keyed by exponents and grid size, until solve_r2 takes
 them or the next prescan replaces them; the search prescans its
 matrices a block at a time, paying numpy's fixed cost per call once per
-block.  For
+block.  numpy is imported on first use, inside _coarse_grid, _scan_block
+and _exp_in_place, so a process that never scans does not load it.  For
 b = 0 the system decouples into two r=1 problems.
 Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
 (resp. a = 0) with b > 0; they are reported separately from interior
@@ -56,8 +57,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from .dilog import rogers_L
 from .errors import DomainError, RangeViolation, ScanFailure
@@ -278,7 +277,9 @@ def _terms(p, ly, l1y, exp):
     return exp(u), exp(w)
 
 
-def _exp_in_place(a: np.ndarray) -> np.ndarray:
+def _exp_in_place(a):
+    import numpy as np
+
     return np.exp(a, out=a)
 
 
@@ -309,18 +310,20 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
 # its monotonicity bounds clear 1 by the relative _MARGIN.
 _STRIDE = 64
 _MARGIN = 1e-9
-_CELL = np.arange(_STRIDE + 1)
 
 _Scan = tuple[list[float], list[tuple[float, float, float]]]
 
 
 @lru_cache(maxsize=4)
-def _coarse_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _coarse_grid(n: int):
     """Numerators k + 1 = 1, S + 1, 2S + 1, ..., n of the coarse points
-    y = (k+1)/(n+1), and log y and log(1-y) there."""
+    y = (k+1)/(n+1), log y and log(1-y) there, and the offsets 0..S of
+    a fine cell's points from its first."""
+    import numpy as np
+
     kp = np.minimum(np.arange(1, n + _STRIDE, _STRIDE), n)
     y = kp / (n + 1)
-    grid = kp, np.log(y), np.log1p(-y)
+    grid = kp, np.log(y), np.log1p(-y), np.arange(_STRIDE + 1)
     for a in grid:
         a.flags.writeable = False  # every scan at this n shares them
     return grid
@@ -353,10 +356,12 @@ def _scan_block(P, n: int) -> list[_Scan]:
     pairs, end points included, as (pairs x S+1) arrays of at most one
     row's worth of cells each.
     """
+    import numpy as np
+
     P = np.asarray(P, dtype=np.float64).reshape(-1, 4)
     hits: list[set[float]] = [set() for _ in range(len(P))]
     flips: list[list[tuple[float, float, float]]] = [[] for _ in range(len(P))]
-    kp, ly, l1y = _coarse_grid(n)
+    kp, ly, l1y, cell = _coarse_grid(n)
     # inf * 0 in the sign test below is NaN, which is not a flip
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         t0, t1 = _terms(P.T[:, :, None], ly, l1y, _exp_in_place)
@@ -384,7 +389,7 @@ def _scan_block(P, n: int) -> list[_Scan]:
         rows, cols = np.nonzero(refine)
         for s in range(0, len(rows), cells):
             r = rows[s:s + cells]
-            y = np.minimum(kp[cols[s:s + cells], None] + _CELL, n) / (n + 1)
+            y = np.minimum(kp[cols[s:s + cells], None] + cell, n) / (n + 1)
             one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y), _exp_in_place)
             g += one_minus_x
             g -= 1.0

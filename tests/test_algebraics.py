@@ -5,11 +5,16 @@ exact relations (Vieta products, polynomial membership) are checked in
 rational arithmetic.
 """
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import dilogtba
+from dilogtba import algebraics
 from dilogtba import (
     AlgebraicNumber,
     CONSTANTS,
@@ -22,6 +27,7 @@ from dilogtba import (
     rational_sqrt,
     refine,
 )
+from test_cli import child_env
 
 
 def test_polynomial_basics():
@@ -160,6 +166,46 @@ def test_constant_relations():
 def test_unknown_constant():
     with pytest.raises(DomainError):
         constant("tau")
+
+
+# Counts the root isolations that a fresh `import dilogtba` runs, then
+# those of one constant() call, which shows that the count sees them.
+_ISOLATION_PROBE = """
+import json, sys
+calls = []
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "isolate_real_roots":
+        calls.append(frame.f_code.co_filename)
+sys.setprofile(profile)
+import dilogtba
+at_import = len(calls)
+built = "CONSTANTS" in vars(dilogtba.algebraics)
+dilogtba.constant("rho")
+sys.setprofile(None)
+print(json.dumps([at_import, built, len(calls)]))
+"""
+
+
+def test_import_isolates_no_root():
+    proc = subprocess.run([sys.executable, "-c", _ISOLATION_PROBE], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False, 1]
+
+
+def test_constants_on_first_use_are_the_cached_constants():
+    assert sorted(CONSTANTS) == ["alpha", "beta", "delta", "gamma", "lam", "mu", "nu",
+                                 "rho", "u_minus", "u_plus"]
+    for name in CONSTANTS:
+        assert constant(name) is CONSTANTS[name], name
+    # one dict, the same through the module and the package
+    assert algebraics.CONSTANTS is CONSTANTS and dilogtba.CONSTANTS is CONSTANTS
+    with pytest.raises(DomainError):
+        constant("tau")
+    with pytest.raises(AttributeError):
+        algebraics.NO_SUCH_NAME
+    with pytest.raises(AttributeError):
+        dilogtba.NO_SUCH_NAME
 
 
 def test_to_mpf_precision():

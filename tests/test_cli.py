@@ -280,6 +280,39 @@ def test_negative_fraction_matrix_entries_parse():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["recognize", "-1e-3"], -1e-3),
+    (["recognize", "-1."], -1.0),
+    (["recognize", "-.25"], -0.25),
+    (["recognize", "-5E-1"], -0.5),
+    (["recognize", "-1_000"], -1000.0),
+    (["recognize", "-3.3285676048349483e-13"], -3.3285676048349483e-13),
+    (["solve", "-A", "2", "-1e0", "2"], "-1"),
+    (["solve", "-A", "2", "-1.e0", "2"], "-1"),
+    (["solve", "-A", "2", "-5e-1", "1"], "-1/2"),
+])
+def test_negative_numbers_in_exponent_form_are_values(argv, value, schema):
+    # argparse would take these for option flags: "arguments are required"
+    doc = run_json([*argv, "--json"], schema)
+    if argv[0] == "recognize":
+        assert doc["value"]["value"] == value
+    else:
+        assert doc["matrix"]["b"] == value
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["recognize", "-inf"], "value must be a finite number, got '-inf'"),
+    (["recognize", "-Infinity"], "value must be a finite number, got '-Infinity'"),
+    (["recognize", "-nan"], "value must be a finite number, got '-nan'"),
+    (["solve", "-A", "2", "-inf", "2"], "malformed fraction for entry b: '-inf'"),
+    (["solve", "-A", "-nan"], "malformed fraction for entry a: '-nan'"),
+])
+def test_negative_non_finite_values_reach_the_value_parser(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # scaling
 
@@ -633,6 +666,64 @@ def write_console_script(bin_dir, name):
         f"sys.exit({attr}())\n"
     )
     script.chmod(0o755)
+
+
+# ---------------------------------------------------------------------------
+# cold start: what a fresh interpreter loads
+
+# Imports dilogtba.cli, runs the request in argv (if any) and prints the
+# dilogtba modules loaded after the import and whether numpy and mpmath
+# were loaded after the import and after the request.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+def loaded():
+    return {"numpy": "numpy" in sys.modules, "mpmath": "mpmath" in sys.modules}
+import dilogtba.cli
+state = {"modules": sorted(m for m in sys.modules if m.split(".")[0] == "dilogtba"),
+         "import": loaded()}
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        state["code"] = dilogtba.cli.parse_and_dispatch(sys.argv[1:])
+    state["request"] = loaded()
+print(json.dumps(state))
+"""
+
+
+def _probe_imports(argv):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_every_module_but_neither_numpy_nor_mpmath():
+    state = _probe_imports([])
+    src = Path(dilogtba.__file__).parent
+    want = sorted(["dilogtba"] + [f"dilogtba.{p.stem}" for p in src.glob("*.py")
+                                  if p.stem != "__init__"])
+    assert len(want) == 11
+    # every submodule stays loaded: a tracer that patches functions in
+    # every loaded dilogtba namespace relies on it
+    assert state["modules"] == want
+    assert state["import"] == {"numpy": False, "mpmath": False}
+
+
+@pytest.mark.parametrize("argv, numpy, mpmath", [
+    (["--version"], False, False),
+    (["recognize", "0.5714285714"], False, False),
+    (["expand", "chi_2_5"], False, False),
+    (["bounds", "-A", "2", "1", "1"], False, False),
+    (["classify", "-A", "2", "1", "1"], False, False),
+    (["verify-identities", "--precision", "1e-12"], False, False),
+    (["solve", "-A", "2", "1", "1"], True, False),
+    (["search", "--max-num", "2", "--max-den-entries", "1"], True, False),
+    (["verify-identities", "--precision", "1e-30"], False, True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_a_request_imports_only_what_it_needs(argv, numpy, mpmath):
+    state = _probe_imports(argv)
+    assert state["code"] == 0
+    assert state["import"] == {"numpy": False, "mpmath": False}
+    assert state["request"] == {"numpy": numpy, "mpmath": mpmath}
 
 
 def test_console_script_version():
