@@ -2,10 +2,13 @@
 
 A real algebraic number is represented as an integer polynomial together
 with a rational isolating interval containing exactly one of its real
-roots.  Root counting uses Sturm sequences over exact rational
-arithmetic; isolation is bisection on the Sturm count; refinement is
-sign-change bisection.  Everything is exact until a caller asks for a
-float or an mpf; to_mpf imports mpmath, on first use.
+roots.  Root counting uses Sturm sequences, built over exact rationals;
+isolation is bisection on the Sturm count; refinement is sign-change
+bisection.  Every sign test, and the refinement, runs in integer
+arithmetic: _isign gives the sign of den^n P(num/den), and refine keeps
+its bracket as two integers over one common denominator.  Everything is
+exact until a caller asks for a float or an mpf; to_mpf imports mpmath,
+on first use.
 
 The module also names the constants of the dilogarithm identity catalog;
 constant(name) isolates and caches one root on first use, and CONSTANTS,
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError
 
@@ -44,59 +47,43 @@ def _strip(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def _feval(c: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _isign(c: tuple[int, ...] | list[int], num: int, den: int) -> int:
+    """Sign of P(num/den), den > 0, for integer coefficients c: homogeneous Horner."""
+    acc, scale = 0, 1
     for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
+        acc = acc * num + coef * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
 def _fderiv(c: list[Fraction]) -> list[Fraction]:
     return _strip([k * c[k] for k in range(1, len(c))])
 
 
-def _frem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of polynomial division num / den (den nonzero)."""
+def _fdivmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomial division num / den (den nonzero)."""
     num = num[:]
+    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
     dn = len(den) - 1
     lead = den[-1]
     while len(num) - 1 >= dn and _strip(num):
         k = len(num) - 1 - dn
-        q = num[-1] / lead
+        q = out[k] = num[-1] / lead
         for i, dc in enumerate(den):
             num[k + i] -= q * dc
         num.pop()
         _strip(num)
-    return _strip(num)
+    return _strip(out), _strip(num)
 
 
 def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = a[:], b[:]
     while _strip(b):
-        a, b = b, _frem(a, b)
+        a, b = b, _fdivmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [x / lead for x in a]
     return a
-
-
-def _fdiv_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact quotient num / den; remainder must vanish."""
-    num = num[:]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dn and _strip(num):
-        k = len(num) - 1 - dn
-        q = num[-1] / lead
-        out[k] = q
-        for i, dc in enumerate(den):
-            num[k + i] -= q * dc
-        num.pop()
-        _strip(num)
-    if _strip(num):
-        raise ArithmeticError("inexact polynomial division")
-    return _strip(out)
 
 
 def _squarefree(c: list[Fraction]) -> list[Fraction]:
@@ -106,38 +93,33 @@ def _squarefree(c: list[Fraction]) -> list[Fraction]:
     g = _fgcd(c, d)
     if len(g) <= 1:
         return c[:]
-    return _fdiv_exact(c, g)
+    quotient, remainder = _fdivmod(c, g)
+    if remainder:
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
 
 
-def _sturm_chain(c: list[Fraction]) -> list[list[Fraction]]:
+def _sturm_chain(c: list[Fraction]) -> list[list[int]]:
+    """The Sturm chain of c, each member rescaled to integers by a positive factor."""
     chain = [c, _fderiv(c)]
     while len(chain[-1]) > 0:
-        r = [-x for x in _frem(chain[-2], chain[-1])]
+        r = [-x for x in _fdivmod(chain[-2], chain[-1])[1]]
         if not r:
             break
         chain.append(r)
-    return chain
+    return [_scaled_ints(p) for p in chain]
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = [s for s in (_sign(_feval(p, x)) for p in chain) if s != 0]
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    num, den = x.as_integer_ratio()
+    signs = [s for s in (_isign(p, num, den) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations_inf(chain: list[list[Fraction]], positive: bool) -> int:
-    signs = []
-    for p in chain:
-        if not p:
-            continue
-        s = _sign(p[-1])
-        if not positive and (len(p) - 1) % 2 == 1:
-            s = -s
-        if s != 0:
-            signs.append(s)
+def _variations_inf(chain: list[list[int]], positive: bool) -> int:
+    # signs of the leading terms; towards -infinity the odd degrees flip
+    signs = [(1 if p[-1] > 0 else -1) * (1 if positive or len(p) % 2 else -1)
+             for p in chain if p]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -167,7 +149,10 @@ class IntegerPolynomial:
 
     def eval_at(self, x) -> Fraction:
         """Exact evaluation at a rational point."""
-        return _feval([Fraction(c) for c in self.coeffs], Fraction(x))
+        x, acc = Fraction(x), Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def derivative(self) -> "IntegerPolynomial":
         return IntegerPolynomial(
@@ -187,11 +172,14 @@ def eval_poly_at(poly: IntegerPolynomial, x) -> Fraction:
     return poly.eval_at(x)
 
 
-def _to_integer_primitive(c: list[Fraction]) -> tuple[int, ...]:
-    from math import lcm
-
+def _scaled_ints(c: list[Fraction]) -> list[int]:
+    """c times the positive lcm of its denominators."""
     den = lcm(*[f.denominator for f in c]) if c else 1
-    ints = [int(f * den) for f in c]
+    return [f.numerator * (den // f.denominator) for f in c]
+
+
+def _to_integer_primitive(c: list[Fraction]) -> tuple[int, ...]:
+    ints = _scaled_ints(c)
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -218,7 +206,7 @@ class AlgebraicNumber:
     value is remembered and returned by the float/mpf conversions.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_fr", "_exact")
+    __slots__ = ("poly", "lo", "hi", "_exact")
 
     def __init__(self, poly: IntegerPolynomial, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -227,9 +215,9 @@ class AlgebraicNumber:
         self.poly = poly
         self.lo = lo
         self.hi = hi
-        self._fr = [Fraction(c) for c in poly.coeffs]
         self._exact: Fraction | None = None
-        slo, shi = _sign(_feval(self._fr, lo)), _sign(_feval(self._fr, hi))
+        slo = _isign(poly.coeffs, *lo.as_integer_ratio())
+        shi = _isign(poly.coeffs, *hi.as_integer_ratio())
         if slo == 0 or shi == 0 or slo == shi:
             raise DomainError("interval endpoints must bracket a sign change")
 
@@ -240,23 +228,28 @@ class AlgebraicNumber:
             raise DomainError("eps must be positive")
         if self.hi - self.lo <= eps:
             return (self.lo, self.hi)
-        slo = _sign(_feval(self._fr, self.lo))
-        while self.hi - self.lo > eps:
-            if self._exact is not None:
-                # keep a sign-change bracket of the requested width
-                w = eps / 4
-                self.lo = max(self.lo, self._exact - w)
-                self.hi = min(self.hi, self._exact + w)
-                break
-            mid = (self.lo + self.hi) / 2
-            sm = _sign(_feval(self._fr, mid))
-            if sm == 0:
-                self._exact = mid
-                continue
-            if sm == slo:
-                self.lo = mid
-            else:
-                self.hi = mid
+        if self._exact is None:
+            # bisect [L/D, H/D]: doubling L, H and D makes the midpoint (L + H) // 2
+            D = lcm(self.lo.denominator, self.hi.denominator)
+            L, H = int(self.lo * D), int(self.hi * D)
+            slo = _isign(self.poly.coeffs, L, D)
+            while (H - L) * eps.denominator > eps.numerator * D:
+                L, H, D = 2 * L, 2 * H, 2 * D
+                M = (L + H) // 2
+                sm = _isign(self.poly.coeffs, M, D)
+                if sm == 0:
+                    self._exact = Fraction(M, D)
+                    break
+                if sm == slo:
+                    L = M
+                else:
+                    H = M
+            self.lo, self.hi = Fraction(L, D), Fraction(H, D)
+        if self._exact is not None and self.hi - self.lo > eps:
+            # keep a sign-change bracket of the requested width
+            w = eps / 4
+            self.lo = max(self.lo, self._exact - w)
+            self.hi = min(self.hi, self._exact + w)
         return (self.lo, self.hi)
 
     def to_float(self) -> float:
@@ -299,7 +292,8 @@ def isolate_real_roots(poly: IntegerPolynomial) -> list[AlgebraicNumber]:
     if len(sf) <= 1:
         return []
     ipoly = IntegerPolynomial(_to_integer_primitive(sf))
-    sf = [Fraction(c) for c in ipoly.coeffs]
+    ic = ipoly.coeffs
+    sf = [Fraction(c) for c in ic]
     chain = _sturm_chain(sf)
 
     # Cauchy bound: all roots satisfy |t| < 1 + max|c_k / c_n|
@@ -320,13 +314,13 @@ def isolate_real_roots(poly: IntegerPolynomial) -> list[AlgebraicNumber]:
             out.append((lo, hi, None))
             return
         mid = (lo + hi) / 2
-        if _feval(sf, mid) == 0:
+        if _isign(ic, *mid.as_integer_ratio()) == 0:
             # exact rational root at the bisection point: carve out a
             # window around it that contains no other root
             w = (hi - lo) / 4
             while (
-                _feval(sf, mid - w) == 0
-                or _feval(sf, mid + w) == 0
+                _isign(ic, *(mid - w).as_integer_ratio()) == 0
+                or _isign(ic, *(mid + w).as_integer_ratio()) == 0
                 or count_open(mid - w, mid + w) != 1
             ):
                 w /= 2
@@ -382,10 +376,13 @@ def _root_between(coeffs: tuple[int, ...], lo, hi) -> AlgebraicNumber:
 
     Isolating intervals from the bisection can overhang the requested
     window, so each candidate is refined until it lies entirely inside
-    or entirely outside.  Neither endpoint may itself be a root.
+    or entirely outside.  A root on either end of the window raises
+    DomainError: no refinement would ever decide which side it lies on.
     """
     poly = IntegerPolynomial(coeffs)
     lo, hi = Fraction(lo), Fraction(hi)
+    if any(_isign(poly.coeffs, *x.as_integer_ratio()) == 0 for x in (lo, hi)):
+        raise DomainError(f"a root of {poly} lies on an end of [{lo}, {hi}]")
     picks = []
     for r in isolate_real_roots(poly):
         eps = hi - lo

@@ -5,6 +5,7 @@ exact relations (Vieta products, polynomial membership) are checked in
 rational arithmetic.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -12,6 +13,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dilogtba
 from dilogtba import algebraics
@@ -216,3 +219,248 @@ def test_to_mpf_precision():
         want = (mpmath.sqrt(5) - 1) / 2
         got = rho.to_mpf(dps=40)
         assert abs(got - want) < mpmath.mpf(10) ** -38
+
+
+# Each window has a root on an endpoint.  Deciding whether that root lies
+# inside the window used to refine forever, as the root straddles the end;
+# a subprocess with a timeout makes such a regression fail, not hang.
+_ROOT_ON_WINDOW_END = """
+from fractions import Fraction
+from dilogtba import DomainError
+from dilogtba.algebraics import _root_between
+for coeffs, lo, hi in (((-1, 1), 1, 2), ((-1, 1), 0, 1), ((0, -1, 0, 1), -1, 1),
+                       ((-1, 0, 4), 0, Fraction(1, 2))):
+    try:
+        _root_between(coeffs, lo, hi)
+    except DomainError:
+        continue
+    raise SystemExit(f"no DomainError for {coeffs} on [{lo}, {hi}]")
+print("ok")
+"""
+
+
+def test_root_between_rejects_a_root_on_a_window_end():
+    proc = subprocess.run([sys.executable, "-c", _ROOT_ON_WINDOW_END], capture_output=True,
+                          text=True, env=child_env(), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+# ---------------------------------------------------------------------------
+# Pins of everything that depends on the bisection decisions, recorded with
+# the earlier Fraction implementation of the sign tests.  The conversions
+# run in a fresh interpreter: the intervals only shrink, so a constant that
+# another test refined further would convert to another midpoint.
+
+_NAMES = ("rho", "lam", "gamma", "alpha", "beta", "delta", "u_plus", "u_minus", "mu", "nu")
+
+_CONSTANTS_PROBE = """
+import hashlib, json
+import mpmath
+from dilogtba import constant
+NAMES = %r
+floats = [repr(constant(n).to_float()) for n in NAMES]
+with mpmath.workdps(75):
+    mpfs = [str(constant(n).to_mpf(75)) for n in NAMES]
+brackets = repr([(constant(n).lo, constant(n).hi, constant(n)._exact) for n in NAMES])
+print(json.dumps([floats, mpfs, hashlib.sha256(brackets.encode()).hexdigest()]))
+""" % (_NAMES,)
+
+_PINNED_FLOATS = [
+    "0.6180339887498949", "1.8019377358048383", "0.4450418679126288", "0.8019377358048383",
+    "0.5549581320873712", "0.866760399173862", "0.8848290125825531", "-0.26679502383265824",
+    "3.3357944686800307", "0.4661432671248076",
+]
+_PINNED_MPF75 = [
+    "0.618033988749894848204586834365638117720309179805762862135448622705260462819",
+    "1.80193773580483825247220463901489010233183832426371430010712484639886484086",
+    "0.445041867912628808577805128993589518932711137529089910623974031794842464057",
+    "0.801937735804838252472204639014890102331838324263714300107124846398864840856",
+    "0.554958132087371191422194871006410481067288862470910089376025968205157535943",
+    "0.866760399173862092990872062494719483513184668609827052896807751101526077903",
+    "0.884829012582553077372044078127088176835339393956650255132128908305447773974",
+    "-0.266795023832658229167457243761450059115030214150887392996680285600187311155",
+    "3.33579446868003064421704458075298396436391739264664608963405518605970995764",
+    "0.466143267124807608255160058261906137967920931617068210473069660339154883221",
+]
+# sha256 of repr([(lo, hi, _exact), ...]) of the ten constants after to_mpf(75)
+_PINNED_BRACKETS = "75732243847bea2e909821bf1c1b7fd202c67500441fb60fb3a681ef2a068f0b"
+
+
+def test_constant_conversions_are_pinned():
+    proc = subprocess.run([sys.executable, "-c", _CONSTANTS_PROBE], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    floats, mpfs, brackets = json.loads(proc.stdout)
+    assert floats == _PINNED_FLOATS
+    assert mpfs == _PINNED_MPF75
+    assert brackets == _PINNED_BRACKETS
+
+
+# sha256 of the stdout of `verify-identities --json --precision P [--cross-check]`
+_PINNED_VERIFY = {
+    ("1e-12", False): "293e4aa7410ec7fcbec7218e0dc8f4e39da6dd35b6ebb2c76749897f52b58a7e",
+    ("1e-12", True): "3d498765b0cfcebc44dc5469611ccbffc13332ceb1537ba56b82961854115bab",
+    ("1e-30", False): "d0ae35082d8f59e77efce7079ffcff58e65b9e748cab95b07b609843543a8a2a",
+    ("1e-30", True): "5435923b79b3442de0f9cf4a17be2e8b35f3e8dd13bff2c4e9fe6ab7be749c11",
+    ("1e-60", False): "7cf19b77f0492c75ca8f40c12af19bc56c9ea64e6d923e37bbe799779a004647",
+    ("1e-60", True): "97af9749c168e127d7e81d7ce7721a7ad82a2dcd7d73e6ad6e3edcdaf25d5856",
+}
+
+
+@pytest.mark.parametrize("precision,cross_check", sorted(_PINNED_VERIFY))
+def test_verify_identities_json_is_pinned(precision, cross_check):
+    argv = [sys.executable, "-m", "dilogtba.cli", "verify-identities", "--json",
+            "--precision", precision] + ["--cross-check"] * cross_check
+    proc = subprocess.run(argv, capture_output=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED_VERIFY[precision, cross_check]
+
+
+def _expand(*roots):
+    """Constant-first integer coefficients of the product of (q t - p), p/q in roots."""
+    c = [1]
+    for r in roots:
+        p, q = F(r).as_integer_ratio()
+        c = [q * b - p * a for a, b in zip(c + [0], [0] + c)]
+    return tuple(c)
+
+
+# Repeated roots, close roots, rational roots on bisection points (three of
+# the intervals carry an exact root) and the catalog polynomials.
+_STURM_SAMPLE = [
+    (1, -2, 1), (-2, 5, -4, 1), (0, -1, 0, 1), (0, -128, 16384), (1, -2001, 1001000),
+    (-6, 11, -6, 1), (-2, 0, 1), (1, 0, 1), (-1, 1, 1), (1, -2, -1, 1), (-1, -3, 3, 1, 1),
+    (1, -7, 20, -28, 19, -7, 1), (-1, -1, 0, 2, 1), (3, -8, 4),
+    _expand(1, 1, 1, -1, -1), _expand(*range(1, 9)), _expand(2, 2, F(1, 3), F(1, 3), F(-5, 7)),
+    _expand(4, -4, 0, F(1, 2)), _expand(F(3, 4), F(3, 4)), (-3, 0, 0, 0, 0, 1),
+]
+_STURM_WINDOWS = [(None, None), (0, 1), (1, 2), (-1, 0), (F(1, 3), F(5, 2)), (-4, 4)]
+_PINNED_COUNTS = [
+    [1, 1, 0, 0, 1, 1], [2, 1, 1, 0, 2, 2], [3, 1, 0, 1, 1, 3], [2, 1, 0, 1, 0, 2],
+    [2, 2, 0, 0, 0, 2], [3, 1, 1, 0, 2, 3], [2, 0, 1, 0, 1, 2], [0, 0, 0, 0, 0, 0],
+    [2, 1, 0, 0, 1, 2], [3, 1, 1, 0, 2, 3], [2, 1, 0, 1, 1, 2], [2, 1, 0, 0, 1, 2],
+    [2, 1, 0, 0, 1, 2], [2, 1, 1, 0, 2, 2], [2, 1, 0, 0, 1, 2], [8, 1, 1, 0, 2, 4],
+    [3, 1, 1, 1, 1, 3], [4, 1, 0, 1, 1, 3], [1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 1],
+]
+# sha256 of repr of the (lo, hi, _exact) lists that isolate_real_roots returns
+_PINNED_ISOLATION = "013975cb6e645ff7cc7fbca6a5a5ca8ddc977c5a85acddacbc689688f400e816"
+
+
+def test_sturm_counts_and_isolation_are_pinned():
+    counts = [[count_real_roots(IntegerPolynomial(c), lo, hi) for lo, hi in _STURM_WINDOWS]
+              for c in _STURM_SAMPLE]
+    assert counts == _PINNED_COUNTS
+    iso = [[(r.lo, r.hi, r._exact) for r in isolate_real_roots(IntegerPolynomial(c))]
+           for c in _STURM_SAMPLE]
+    assert sum(e is not None for roots in iso for _, _, e in roots) == 3
+    assert hashlib.sha256(repr(iso).encode()).hexdigest() == _PINNED_ISOLATION
+
+
+# ---------------------------------------------------------------------------
+# refine against the Fraction bisection it replaced, kept here verbatim as
+# the oracle: equal brackets and exact hits for any sequence of requests.
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _feval(c, x):
+    acc = F(0)
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+class _FractionBisection:
+    def __init__(self, root):
+        self.lo, self.hi, self._exact = root.lo, root.hi, root._exact
+        self._fr = [F(c) for c in root.poly.coeffs]
+
+    def refine(self, eps):
+        """Narrow the isolating interval to width <= eps; returns it."""
+        eps = F(eps)
+        if eps <= 0:
+            raise DomainError("eps must be positive")
+        if self.hi - self.lo <= eps:
+            return (self.lo, self.hi)
+        slo = _sign(_feval(self._fr, self.lo))
+        while self.hi - self.lo > eps:
+            if self._exact is not None:
+                # keep a sign-change bracket of the requested width
+                w = eps / 4
+                self.lo = max(self.lo, self._exact - w)
+                self.hi = min(self.hi, self._exact + w)
+                break
+            mid = (self.lo + self.hi) / 2
+            sm = _sign(_feval(self._fr, mid))
+            if sm == 0:
+                self._exact = mid
+                continue
+            if sm == slo:
+                self.lo = mid
+            else:
+                self.hi = mid
+        return (self.lo, self.hi)
+
+
+def _assert_refines_like_the_oracle(root, epss):
+    oracle = _FractionBisection(root)
+    for eps in epss:
+        assert root.refine(eps) == oracle.refine(eps)
+        assert (root.lo, root.hi, root._exact) == (oracle.lo, oracle.hi, oracle._exact)
+        assert type(root.lo) is type(root.hi) is F
+
+
+_polys = st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1] != 0)
+_eps = st.one_of(st.integers(1, 300).map(lambda k: F(1, 2**k)),
+                 st.integers(1, 90).map(lambda k: F(1, 10**k)),
+                 st.fractions(min_value=F(1, 10**40), max_value=3))
+# one shot, stepwise finer, or any order (coarse after fine)
+_schedules = st.one_of(_eps.map(lambda e: [e]),
+                       st.lists(_eps, min_size=2, max_size=6).map(lambda es: sorted(es)[::-1]),
+                       st.lists(_eps, min_size=2, max_size=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coeffs=_polys, schedule=_schedules)
+def test_refine_matches_fraction_bisection(coeffs, schedule):
+    for root in isolate_real_roots(IntegerPolynomial(tuple(coeffs))):
+        _assert_refines_like_the_oracle(root, schedule)
+
+
+_widenings = st.fractions(min_value=0, max_value=2, max_denominator=60)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(coeffs=_polys, below=_widenings, above=_widenings, schedule=_schedules)
+def test_refine_matches_fraction_bisection_on_wider_brackets(coeffs, below, above, schedule):
+    # isolating intervals widened to mostly non-dyadic endpoints; the
+    # wider bracket may hold three roots, or none with a sign change
+    poly = IntegerPolynomial(tuple(coeffs))
+    for root in isolate_real_roots(poly):
+        try:
+            wider = AlgebraicNumber(poly, root.lo - below, root.hi + above)
+        except DomainError:
+            continue
+        _assert_refines_like_the_oracle(wider, schedule)
+
+
+def test_refine_matches_fraction_bisection_examples():
+    schedules = ([F(1, 10**60)], [F(1, 2**k) for k in range(0, 120, 7)],
+                 [F(1, 10**30), F(1, 10), F(1, 10**80), F(1, 10**5)])
+    for schedule in schedules:
+        # non-dyadic endpoints around 1/sqrt(2)
+        _assert_refines_like_the_oracle(AlgebraicNumber(IntegerPolynomial((-1, 0, 2)),
+                                                        F(1, 3), F(5, 7)), schedule)
+        # the first midpoint is the root
+        half = AlgebraicNumber(IntegerPolynomial((-1, 2)), 0, 1)
+        _assert_refines_like_the_oracle(half, schedule)
+        assert half._exact == F(1, 2)
+        # an exact root found by the isolation
+        _assert_refines_like_the_oracle(isolate_real_roots(IntegerPolynomial((0, -1, 0, 1)))[1],
+                                        schedule)
+        for name in _NAMES:
+            coeffs, lo, hi = algebraics._WINDOWS[name]
+            _assert_refines_like_the_oracle(algebraics._root_between(coeffs, lo, hi), schedule)
