@@ -37,6 +37,18 @@ from math import gcd, isqrt, lcm
 
 from .errors import DomainError
 
+# CONSTANTS is left out: a star import would build it (see __getattr__)
+__all__ = [
+    "IntegerPolynomial",
+    "AlgebraicNumber",
+    "eval_poly_at",
+    "refine",
+    "isolate_real_roots",
+    "count_real_roots",
+    "rational_sqrt",
+    "constant",
+]
+
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over Fraction (constant-first coefficient lists)
 

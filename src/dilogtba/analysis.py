@@ -36,7 +36,6 @@ from .errors import RangeViolation, SingularMatrixError
 from .tba import _HALF, RationalSymmetricMatrix, _as_fraction, check_range, delta_fn, kappa
 
 __all__ = [
-    "check_range",
     "uniqueness_guarantee",
     "uniqueness_weak_tests",
     "dual",

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-__all__ = ["ChargeMatch", "MAX_SPECTRUM_BOUND", "Spectrum", "recognize", "spectrum"]
+__all__ = ["ChargeMatch", "recognize"]
 
 # largest max_st / max_n: spectrum(10**4, 10**4) holds 29 997 values
 MAX_SPECTRUM_BOUND = 10_000

@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
         _matches_text(m),
     ]
     if sol.boundary_flag:
-        lines.append("note: boundary solution present (d = 0, 0 < b < 1/2)")
+        lines.append(f"note: boundary solution present ({'d' if A.d == 0 else 'a'} = 0, 0 < b < 1/2)")
     if sol.principal_is_boundary:
         lines.append("note: only boundary solutions exist; reported c uses the boundary pair")
     doc = {

@@ -35,6 +35,8 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+__all__ = ["rogers_L", "rogers_L_mp", "check_reflection", "check_duplication", "check_five_term"]
+
 _SIX_OVER_PI2 = 6.0 / (math.pi * math.pi)
 
 # Series term count is bounded: for x <= 1/2 the terms fall below 1e-20
@@ -44,8 +46,6 @@ _MAX_TERMS = 256
 
 def _as_unit_float(x) -> float:
     """Coerce to float and check membership in [0, 1]."""
-    if isinstance(x, Fraction):
-        x = float(x)
     x = float(x)
     if not math.isfinite(x) or x < 0.0 or x > 1.0:
         raise DomainError(f"argument {x!r} outside [0, 1]")

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "RangeViolation",
+    "SingularMatrixError",
+    "ScanFailure",
+    "NonTerminatingSeries",
+    "TailBoundError",
+    "CatalogError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""

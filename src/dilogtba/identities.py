@@ -49,7 +49,7 @@ from importlib import resources
 from .algebraics import constant
 from .dilog import rogers_L, rogers_L_mp
 from .errors import CatalogError, DomainError
-from .tba import RationalSymmetricMatrix, c_of, solve_r2
+from .tba import RationalSymmetricMatrix, solve_r2
 
 __all__ = [
     "IdentityEntry",
@@ -72,15 +72,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([a-z_][a-z0-9_]*)|([()+\-*/^]))")
 def _tokenize(text: str) -> list[str]:
     out, pos = [], 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos and not text[pos:].strip():
-            break
+        m = _TOKEN.match(text, pos)  # every alternative consumes a character
         if m is None:
-            raise CatalogError(f"bad character in expression {text!r} at offset {pos}")
-        tok = m.group(1) or m.group(2) or m.group(3)
-        if tok is None:
             break
-        out.append(tok)
+        out.append(m.group(1) or m.group(2) or m.group(3))
         pos = m.end()
     if text[pos:].strip():
         raise CatalogError(f"bad character in expression {text!r} at offset {pos}")

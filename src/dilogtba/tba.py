@@ -61,6 +61,19 @@ from functools import cached_property, lru_cache
 from .dilog import rogers_L
 from .errors import DomainError, RangeViolation, ScanFailure
 
+__all__ = [
+    "INFINITY",
+    "RationalSymmetricMatrix",
+    "TbaSolution",
+    "kappa",
+    "delta_fn",
+    "solve_r1",
+    "solve_r2",
+    "c_of",
+    "reduced_f",
+    "check_range",
+]
+
 INFINITY = math.inf
 
 _HALF = Fraction(1, 2)
@@ -154,8 +167,9 @@ class TbaSolution:
     c             L(x) + L(y) (or L(x) for r=1) at the principal solution
     residual      max absolute defect of the defining equations there
     multiplicity  number of distinct interior solutions found by the scan
-    boundary_flag True when the extra boundary solution (x,y)=(0,1)
-                  coexists with an interior one (d = 0, 0 < b < 1/2)
+    boundary_flag True when a boundary solution, (0,1) for d = 0 or
+                  (1,0) for a = 0, coexists with an interior one and
+                  0 < b < 1/2
     interior      all interior solutions, ascending in y
     boundary      boundary solutions present ((0,1) and/or (1,0))
     principal_is_boundary  True when no interior solution exists and a
@@ -230,14 +244,11 @@ def delta_fn(t) -> float:
 
 def solve_r1(a) -> TbaSolution:
     """Solve x = (1-x)^(2a); a >= 0 rational or the frozen INFINITY."""
-    if isinstance(a, float) and math.isinf(a) and a > 0:
-        return TbaSolution(x=0.0, y=None, c=0.0, residual=0.0, multiplicity=1)
-    x = kappa(a)
-    af = float(_as_fraction(a))
+    x = kappa(a)  # 0.0 for INFINITY
     if x in (0.0, 1.0):
         residual = 0.0
     else:
-        residual = abs(x - (1.0 - x) ** (2.0 * af))
+        residual = abs(x - (1.0 - x) ** (2.0 * float(_as_fraction(a))))
     return TbaSolution(x=x, y=None, c=rogers_L(x), residual=residual, multiplicity=1)
 
 
@@ -522,58 +533,37 @@ def solve_r2(
     if enforce_range and not check_range(A):
         raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
     a, b, d, m = A.integers
-
-    if b == 0:
-        x, y = kappa(A.a), kappa(A.d)
-        sol = (x, y)
-        return TbaSolution(
-            x=x, y=y, c=rogers_L(x) + rogers_L(y),
-            residual=_residuals(A, x, y), multiplicity=1,
-            interior=(sol,),
-        )
-
-    p = _scanned_exponents(A)
-
-    # boundary fixed points
-    boundary: list[tuple[float, float]] = []
-    if d == 0 and b > 0:
-        boundary.append((0.0, 1.0))
-    if a == 0 and b > 0:
-        boundary.append((1.0, 0.0))
-
-    roots, flips = _scan(p, grid_n)
-    for lo, hi, glo in flips:
-        roots.append(_bisect_root(p, lo, hi, glo, tol))
-    roots.sort()
-
     interior: list[tuple[float, float]] = []
-    for yr in roots:
-        if interior and abs(yr - interior[-1][1]) < 1e-10:
-            continue
-        xr = _terms(p, math.log(yr), math.log1p(-yr), _exp)[1]
-        if 0.0 < xr < 1.0:
-            interior.append((xr, yr))
-
-    boundary_flag = (d == 0 and 0 < 2 * b < m)
-
-    if interior:
-        px, py = interior[0]
-        return TbaSolution(
-            x=px, y=py, c=rogers_L(px) + rogers_L(py),
-            residual=_residuals(A, px, py),
-            multiplicity=len(interior), boundary_flag=boundary_flag,
-            interior=tuple(interior), boundary=tuple(boundary),
-        )
-    if boundary:
-        px, py = boundary[0]
-        return TbaSolution(
-            x=px, y=py, c=rogers_L(px) + rogers_L(py),
-            residual=_residuals(A, px, py),
-            multiplicity=1, boundary_flag=False,
-            interior=(), boundary=tuple(boundary),
-            principal_is_boundary=True,
-        )
-    raise ScanFailure(f"no solution found for {A} on a grid of {grid_n} points")
+    boundary: list[tuple[float, float]] = []
+    if b == 0:
+        interior.append((kappa(A.a), kappa(A.d)))
+    else:
+        p = _scanned_exponents(A)
+        if d == 0 and b > 0:
+            boundary.append((0.0, 1.0))
+        if a == 0 and b > 0:
+            boundary.append((1.0, 0.0))
+        roots, flips = _scan(p, grid_n)
+        for lo, hi, glo in flips:
+            roots.append(_bisect_root(p, lo, hi, glo, tol))
+        roots.sort()
+        for yr in roots:
+            if interior and abs(yr - interior[-1][1]) < 1e-10:
+                continue
+            xr = _terms(p, math.log(yr), math.log1p(-yr), _exp)[1]
+            if 0.0 < xr < 1.0:
+                interior.append((xr, yr))
+    if not (interior or boundary):
+        raise ScanFailure(f"no solution found for {A} on a grid of {grid_n} points")
+    px, py = (interior or boundary)[0]
+    return TbaSolution(
+        x=px, y=py, c=rogers_L(px) + rogers_L(py),
+        residual=_residuals(A, px, py),
+        multiplicity=len(interior) or 1,
+        boundary_flag=bool(interior and boundary) and 2 * b < m,
+        interior=tuple(interior), boundary=tuple(boundary),
+        principal_is_boundary=not interior,
+    )
 
 
 def c_of(A, grid_n: int = 100_000, enforce_range: bool = True) -> float:

@@ -130,6 +130,23 @@ def test_solve_boundary_coexistence_note():
     code, out, _ = run_cli(["solve", "-A", "1", "1/4", "0"])
     assert code == 0
     assert "note: boundary solution present (d = 0, 0 < b < 1/2)" in out
+    # with a = d = 0 both boundary pairs exist and the note names d
+    code, out, _ = run_cli(["solve", "-A", "0", "1/4", "0"])
+    assert code == 0
+    assert "note: boundary solution present (d = 0, 0 < b < 1/2)" in out
+
+
+@pytest.mark.parametrize("entries", [("0", "1/4", "1"), ("0", "1/3", "2")])
+def test_solve_boundary_note_does_not_depend_on_orientation(entries, schema):
+    a, b, d = entries
+    doc = run_json(["solve", "-A", a, b, d, "--json"], schema)
+    mirror = run_json(["solve", "-A", d, b, a, "--json"], schema)
+    assert doc["boundary_flag"] is mirror["boundary_flag"] is True
+    assert doc["multiplicity"] == mirror["multiplicity"] == 1
+    assert abs(doc["c"]["value"] - mirror["c"]["value"]) <= 1e-13
+    code, out, _ = run_cli(["solve", "-A", a, b, d])
+    assert code == 0
+    assert "note: boundary solution present (a = 0, 0 < b < 1/2)" in out
 
 
 def test_solve_out_of_range_fails_then_escape_hatch(schema):

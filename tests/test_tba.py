@@ -205,6 +205,19 @@ def test_boundary_only():
     assert abs(mirror.c - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("b, d", [(F(1, 4), 1), (F(1, 3), 2)])
+def test_boundary_flag_does_not_depend_on_orientation(b, d):
+    # a <-> d relabels x <-> y: the boundary pair moves from (1, 0) to
+    # (0, 1) and the flag follows it
+    s, t = solve_r2(M(0, b, d)), solve_r2(M(d, b, 0))
+    assert s.boundary == ((1.0, 0.0),) and t.boundary == ((0.0, 1.0),)
+    assert s.multiplicity == t.multiplicity == 1
+    assert s.boundary_flag and t.boundary_flag
+    assert not s.principal_is_boundary and not t.principal_is_boundary
+    assert abs(s.x - t.y) <= 1e-12 and abs(s.y - t.x) <= 1e-12
+    assert abs(s.c - t.c) <= 1e-13
+
+
 def test_multiplicity_three():
     # symmetric a + b = 1 family member deep in the non-unique region
     sol = solve_r2(M(F(1, 20), F(19, 20), F(1, 20)))
