@@ -543,8 +543,8 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     sp = sub.add_parser("expand", parents=[common],
                         help="exact q-expansion of a fermionic form")
     sp.add_argument("form", choices=sorted(FORMS), help="registered form name")
-    sp.add_argument("--order", type=_int_at_least(1), default=20,
-                    help="expansion order in integer powers of q")
+    sp.add_argument("--order", type=_int_at_least(1, 5000), default=20,
+                    help="expansion order in integer powers of q (at most 5000)")
     sp.set_defaults(func=_cmd_expand)
 
     sp = sub.add_parser("ceff-estimate", parents=[common],

@@ -10,11 +10,11 @@ form is a m1^2 + 2b m1 m2 + d m2^2), B a rational vector, and optional
 per-variable congruence restrictions m_i = res (mod modulus).
 
 Each form is scaled once to integers over its lattice denominator L,
-the lcm of the denominators in A, B and lead, and expand() and eval_at()
-work on those integers for every rank.  expand() produces exact integer
-coefficients on the lattice (1/L) Z.  eval_at() sums the series
-numerically at real q in (0,1) with a geometric tail bound.
-estimate_ceff() extrapolates the q -> 1 growth
+the lcm of the denominators in A, B and lead; expand() and eval_at()
+work on those integers for every rank.  expand() gives exact integer
+coefficients on the lattice (1/L) Z, each residue class packed in one int.
+eval_at() sums the series at real q in (0,1) with a geometric tail
+bound.  estimate_ceff() extrapolates the q -> 1 growth
 
     ln chi(e^-eps) ~ pi^2 c_eff / (6 eps)
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,13 +55,13 @@ __all__ = [
 
 _SAFETY_CAP = 10**6  # expand's largest coordinate
 _SHELL_CAP = {1: 200_000, 2: 5_000}  # eval_at's largest max(m), by rank
+_C_UINT = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}  # format by size
 
 
 def _as_restriction(res) -> tuple[int, int] | None:
     if res is None:
         return None
-    modulus, residue = res
-    modulus, residue = int(modulus), int(residue)
+    modulus, residue = map(int, res)
     if modulus < 1 or not (0 <= residue < modulus):
         raise DomainError(f"restriction must be (modulus >= 1, 0 <= residue < modulus), got {res}")
     return (modulus, residue)
@@ -226,17 +227,6 @@ class QSeries:
         return QSeries(denom=L, coeffs=out, order=min(self.order, other.order))
 
 
-def _partition_rows(max_parts: int, jmax: int) -> list[list[int]]:
-    """rows[n][j] = number of partitions of j into parts <= n, as integers."""
-    rows = [[1] + [0] * jmax]
-    for n in range(1, max_parts + 1):
-        row = rows[-1][:]
-        for j in range(n, jmax + 1):
-            row[j] += row[j - n]
-        rows.append(row)
-    return rows
-
-
 def _check_terminates(form: FermionicForm) -> None:
     """Reject forms whose sum cannot be truncated at any finite order:
     outside the entry range, or without growth along a coordinate whose
@@ -328,6 +318,15 @@ def _points(form: FermionicForm, room: int):
                 raise NonTerminatingSeries("enumeration exceeded the safety cap")
 
 
+def _divide(s: int, j: int, width: int, mask: int) -> int:
+    """s / (1 - q^j) on the slots below mask: shift-and-add by j, 2j, 4j, ... slots."""
+    shift, end = j * width, mask.bit_length()
+    while s and shift < end:
+        s = (s + (s << shift)) & mask
+        shift *= 2
+    return s
+
+
 def expand(form: FermionicForm, order) -> QSeries:
     """Exact coefficients of the fermionic sum up to q^order.
 
@@ -339,52 +338,61 @@ def expand(form: FermionicForm, order) -> QSeries:
     forms) and NonTerminatingSeries when the sum has infinitely many
     terms at some exponent below the order.
 
-    One integer walk serves every rank.  It visits the outer
-    coordinates m_1..m_(r-1) (none for r = 1) row by row and, in each
-    row, the inner m_r, keeping the points with
-    k = L (lead + m.A m + B.m) <= floor(order L); a row ends once it is
-    past its vertex with k above that cutoff.  The points are grouped
-    by their outer coordinates and by k mod L.  Within a group the
-    partition rows 1/(q)_(m_r) are added at their integer offsets, and
-    the group sum is then divided by each (q)_(m_i), i < r, in place,
-    one running sum s[i] += s[i-k] per k = 1..m_i (Euler's
-    recurrence).  All arithmetic is on exact integers; the cost is
-    O(points * order + sum over groups of (m_1 + ... + m_(r-1)) * order).
+    One integer walk (_points) serves every rank.  Each residue class
+    of k = L (lead + m.A m + B.m) mod L is one Python int whose W-bit
+    slot i holds the coefficient of q^((res + (n_lo + i) L) / L).
+    Division by 1 - q^j is a running sum along stride j, by doubling:
+    s += s << (j W), then 2j W, 4j W, ..., masked.  Each point adds the
+    packed partition row 1/(q)_(m_r) at its slot, Horner-wise over m_1
+    from the largest down, dividing by 1 - q^(m_1) between rows: cost
+    O(points + (max(m_r) + classes max(m_1)) log(order)) additions of
+    order * W-bit ints.  W, whole bytes, exceeds the bits of the bound
+    npts exp(pi sqrt(2r(N - 1)/3)) on every slot, N the longest class.
     """
     order = _as_fraction(order, "order")
     if order <= 0:
         raise DomainError(f"order must be positive, got {order}")
     _check_terminates(form)
 
-    L, _, _, lead = form.exponent_numerators()
+    L, _, Bn, lead = form.exponent_numerators()
     top = math.floor(order * L)
-    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
-    k_min, max_inner = top, 0
+    # residue k mod L -> m_1 (0 for r = 1) -> [(k // L, m_r)]
+    classes: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    npts, reach = 0, [1]  # reach[m]: the most slots a point with m_r >= m needs
     for outer, m, e in _points(form, top - lead):
         k = lead + e
-        groups.setdefault((outer, k % L), []).append((k, m))
-        k_min, max_inner = min(k_min, k), max(max_inner, m)
+        classes.setdefault(k % L, {}).setdefault(outer[0] if outer else 0, []).append((k // L, m))
+        reach.extend([0] * (m + 1 - len(reach)))
+        npts, reach[m] = npts + 1, max(reach[m], (top - k) // L + 1)
+    reach = list(itertools.accumulate(reversed(reach), max))[::-1]
+    slots, max_inner = reach[0], len(reach) - 1
 
-    # the lowest exponent needs the longest partition row
-    rows = _partition_rows(max_inner, (top - k_min) // L)
+    # Exact slots: values are >= 0 and a carry only moves up, into masked
+    # slots.  Every coefficient, Horner intermediate and row entry is at most
+    # npts p_r(slots - 1), p_r(n) = [q^n] prod_j (1 - q^j)^-r <= exp(nt + r pi^2/(6t))
+    # for all t > 0, which is exp(pi sqrt(2rn/3)) at t = pi sqrt(r/(6n)).
+    bound = math.pi * math.sqrt(2 * len(Bn) * (slots - 1) / 3) / math.log(2)
+    nb = (npts.bit_length() + math.ceil(bound)) // 8 + 1  # bytes per slot
+    nb = next((n for n in _C_UINT if n >= nb), nb)  # widened to a C type if one fits
+    W = 8 * nb
+    rows = [1]  # R_m = R_(m-1) / (1 - q^m) = 1/(q)_m, on the slots its points need
+    for m in range(1, max_inner + 1):
+        rows.append(_divide(rows[-1], m, W, (1 << reach[m] * W) - 1))
 
     coeffs: dict[int, int] = {}
-    for (outer, res), pts in groups.items():
-        # s[i] is the coefficient of q^((res + (n_lo + i) L) / L)
-        n_lo = min(k for k, _ in pts) // L
-        n_hi = (top - res) // L
-        s = [0] * (n_hi - n_lo + 1)
-        for k, m in pts:
-            off = k // L - n_lo
-            width = n_hi - n_lo + 1 - off
-            s[off:] = map(operator.add, s[off:], rows[m][:width])
-        # divide by (q)_(m_i): 1/(1 - q^j) is a running sum along stride j
-        for mi in outer:
-            for j in range(1, mi + 1):
-                for start in range(min(j, len(s))):
-                    s[start::j] = itertools.accumulate(s[start::j])
-        for n, v in enumerate(s, start=n_lo):
-            coeffs[res + n * L] = coeffs.get(res + n * L, 0) + v
+    for res, by_outer in classes.items():
+        n_lo = min(n for pts in by_outer.values() for n, _ in pts)
+        size = (top - res) // L - n_lo + 1
+        class_mask = (1 << size * W) - 1
+        s = 0
+        for m1 in range(max(by_outer), -1, -1):
+            s = _divide(s, m1 + 1, W, class_mask)
+            for n, m in by_outer.get(m1, ()):
+                s += rows[m] << (n - n_lo) * W
+        data = (s & class_mask).to_bytes(size * nb, "little")
+        values = (memoryview(data).cast(_C_UINT[nb]).tolist() if nb in _C_UINT
+                  else [int.from_bytes(data[i:i + nb], "little") for i in range(0, size * nb, nb)])
+        coeffs.update(zip(range(res + n_lo * L, top + 1, L), values))  # QSeries drops the zeros
 
     return QSeries(denom=L, coeffs=coeffs, order=order)
 
@@ -393,19 +401,11 @@ def expand(form: FermionicForm, order) -> QSeries:
 # numeric evaluation
 
 
-def _shell_rows(M: int, r: int):
-    """The points of {0..M}^r whose largest coordinate is M, row-major
-    ascending, as (outer, inner) rows: outer = (m_1..m_(r-1)) and inner
-    the m_r values of that row."""
-    for outer in itertools.product(range(M + 1), repeat=r - 1):
-        yield outer, (range(M + 1) if M in outer else (M,))
-
-
 def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     """Numeric value of the fermionic sum at real q in (0, 1).
 
     Terms are grouped into shells by max(m), each shell walked in
-    row-major order by one generator for every rank; each exponent is
+    row-major order with the same loop for every rank; each exponent is
     the exact integer L (lead + m.A m + B.m) divided by L once, so it
     is the correctly rounded float of the rational exponent.  The tail
     test compares sums over whole periods of P consecutive shells, P
@@ -426,11 +426,11 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
 
     L, Q, Bn, lead = form.exponent_numerators()
     r, d = len(Bn), Q[-1][-1]
-    rows: dict[tuple[int, ...], tuple[int, int] | None] = {}  # _row per allowed outer point
+    rows: dict[tuple[int, ...], tuple] = {}  # outer -> (lead + base, t, its (q)_(m_i)) or ()
+    step, first = (form.restrictions or (None,) * r)[-1] or (1, 0)  # m_r = first mod step
     period = math.lcm(*(res[0] for res in form.restrictions or () if res is not None))
     lnq = math.log(q)
-    hard_cap = _SHELL_CAP[r]
-    limit = min(cutoff, hard_cap) if cutoff is not None else hard_cap
+    limit = min(_SHELL_CAP[r], math.inf if cutoff is None else cutoff)
 
     poch = [1.0]  # (q)_n
     total = 0.0
@@ -443,18 +443,20 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
         if M > 0:
             poch.append(poch[-1] * (1.0 - q ** M))
         shell = 0.0
-        for outer, inner in _shell_rows(M, r):
-            if outer not in rows:
-                rows[outer] = _row(Q, Bn, outer) if _allowed(form, outer) else None
-            if rows[outer] is None:
+        edge = (M,) if M % step == first else ()  # rows with outer < M hold m_r = M only
+        for outer in itertools.product(range(M + 1) if edge else (M,), repeat=r - 1):
+            row = rows.get(outer)
+            if row is None:
+                base, t = _row(Q, Bn, outer)
+                allowed = _allowed(form, outer)
+                row = rows[outer] = (lead + base, t, [poch[mi] for mi in outer]) if allowed else ()
+            if not row:
                 continue
-            base, t = rows[outer]
-            for y in inner:
-                if not form.allows(r - 1, y):
-                    continue
-                term = math.exp(lnq * ((lead + base + (d * y + t) * y) / L))
-                for mi in outer:
-                    term /= poch[mi]
+            shift, t, divisors = row
+            for y in range(first, M + 1, step) if M in outer else edge:
+                term = math.exp(lnq * ((shift + (d * y + t) * y) / L))
+                for p in divisors:
+                    term /= p
                 shell += term / poch[y]
         total += shell
         block += shell
@@ -557,13 +559,9 @@ FORMS: dict[str, FermionicForm] = {
     ),
 }
 
-# The TBA system whose dilogarithm sum each form's growth must match.
+# The TBA system whose dilogarithm sum each form's growth must match: its A and c.
 FORM_SYSTEMS: dict[str, tuple[RationalSymmetricMatrix | Fraction, Fraction]] = {
-    "chi_2_5": (_F(1), _F(2, 5)),
-    "chi_3_4": (_HALF, _F(1, 2)),
-    "chi_3_5": (_F(1, 4), _F(3, 5)),
-    "chi_3_7": (RationalSymmetricMatrix(1, _HALF, _F(3, 4)), _F(5, 7)),
-    "chi_5_6": (RationalSymmetricMatrix(_HALF, _HALF, _HALF), _F(4, 5)),
-    "chi_3_8": (RationalSymmetricMatrix(1, _HALF, _HALF), _F(3, 4)),
-    "chi_4_5": (RationalSymmetricMatrix(2, _HALF, _HALF), _F(7, 10)),
+    name: (FORMS[name].A, _F(c)) for name, c in (
+        ("chi_2_5", "2/5"), ("chi_3_4", "1/2"), ("chi_3_5", "3/5"), ("chi_3_7", "5/7"),
+        ("chi_5_6", "4/5"), ("chi_3_8", "3/4"), ("chi_4_5", "7/10"))
 }

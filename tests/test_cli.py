@@ -548,6 +548,21 @@ def test_expand_text_format():
     assert lines[1] == "11/60 1"
 
 
+@pytest.mark.parametrize("order", ["5001", "100000"])
+def test_expand_order_above_the_cap_exits_2(order):
+    # an unbounded order ran out of memory instead of keeping the exit contract
+    code, out, err = run_cli(["expand", "chi_5_6", "--order", order])
+    assert code == 2
+    assert out == ""
+    assert "must be at most 5000" in err and "Traceback" not in err
+
+
+def test_expand_order_at_the_cap_runs():
+    code, out, _ = run_cli(["expand", "chi_2_5", "--order", "5000", "--no-header"])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("299951/60 ")
+
+
 def test_ceff_estimate_json(schema):
     doc = run_json(["ceff-estimate", "chi_2_5", "--json"], schema)
     assert doc["expected"] == "2/5"

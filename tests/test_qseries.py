@@ -306,6 +306,76 @@ def test_catalog_outputs_identical_to_recorded(name):
     assert (digest.hexdigest(), tuple(values)) == _RECORDED[name]
 
 
+# sha256 of the expansions to orders 600 and 1000 (to_text, each), where
+# chi_5_6 reaches 95-bit coefficients, and float.hex of eval_at at
+# q = e^-eps for eps = 0.2, 0.12, 0.07, 0.04, 0.012, recorded before
+# expand packed its coefficients into integers
+_RECORDED_DEEP = {
+    "chi_2_5": (("3394c7b3b073d7dabae35bcce290e822a935f4aa48085ad4ceaa16896fc1053b",
+                 "4e7b750cde947a61710127594b2f8328092f1cccf1dbe84d62c00979ba6df0f5"),
+                ("0x1.c3875046a4241p+3", "0x1.f9f3ce4329c39p+6", "0x1.8d0d8093f3592p+12",
+                 "0x1.bee4198ae35b7p+22", "0x1.216aad1c2691ep+78")),
+    "chi_3_4": (("5371f5cb5a87b71946cbca1aae78429406d31b89eabe285222024e84e387235e",
+                 "6ad96a10dddd5e9d8fb17afe86071af7822670676183400b2600d15a5a885c8f"),
+                ("0x1.5822c627cf9d2p+5", "0x1.4e2d583ae1c6ap+9", "0x1.5d6f8ca090e75p+16",
+                 "0x1.1ea03f791cd28p+29", "0x1.4d3c4d4fcfabbp+98")),
+    "chi_3_5": (("b6776af5068731668c2173f6576de3f3fc44800b4fda2375e8fb4ad0cb34bded",
+                 "dedb36777fee6939d2bb7dc619bcaca19f0e1409f1c9259517e9722c6a012794"),
+                ("0x1.4b372f055d13ep+7", "0x1.16e9da04696c5p+12", "0x1.84c5334ba6a51p+20",
+                 "0x1.d0ea8b69cd53bp+35", "0x1.e5489b623eb19p+118")),
+    "chi_3_7": (("8da13b8109dda32cb714ab6793b3917316a438e8fa5fb60d626841c576935137",
+                 "aa1021bf6f7522b7e9a3245ae850a59b3ef300af22dc37639da3d2aeaef675be"),
+                ("0x1.731ea1f97610ep+7", "0x1.23212e8f252e3p+13", "0x1.35d7661cbd369p+23",
+                 "0x1.5a9b77df56edfp+41", "0x1.3f1c946af5b0bp+140")),
+    "chi_3_8": (("16b31c81e5e196cc79db8197f3136ffb41291839348c051736c0717063f76749",
+                 "d59e7c89878d0fa936775e3ee68cdc84e3860b7a0ff02ecfc4c91473697d9643"),
+                ("0x1.dd787e5a46849p+7", "0x1.c7c13740bd3e8p+13", "0x1.580d327321df6p+24",
+                 "0x1.691f2d3c7df24p+43", "0x1.3fd331b31c289p+147")),
+    "chi_4_5": (("83ae395a5fca6a12cbccb524e06e018d568878e5c0205dd771970f3985e9151b",
+                 "90f0a7319344575c5b4c396761ab9c3b618d40398679e25f1329895b515fc5da"),
+                ("0x1.7cbac348bcb32p+7", "0x1.14459dc0e965ap+13", "0x1.ff4c56f0c507dp+22",
+                 "0x1.bca8e11862147p+40", "0x1.9fc98b3859c31p+137")),
+    "chi_5_6": (("41aaae6783203d81dfc59a12bf3c92c6f86feba8ef10689dc9cf2fc063ff9a13",
+                 "4dd77af94bb5c8468ee18d033ceb6d5a068dd9e0ecbf9446f0a4a66a861d224a"),
+                ("0x1.33bea3ccdb70ep+8", "0x1.80c17ce148f45p+14", "0x1.d9d3efc5c98b9p+25",
+                 "0x1.2c1f214012e8ap+46", "0x1.f7808213d1d44p+156")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED_DEEP))
+def test_catalog_deep_outputs_identical_to_recorded(name):
+    form = FORMS[name]
+    digests = tuple(hashlib.sha256(expand(form, order).to_text().encode()).hexdigest()
+                    for order in (600, 1000))
+    values = tuple(eval_at(form, math.exp(-eps)).hex() for eps in (0.2, 0.12, 0.07, 0.04, 0.012))
+    assert (digests, values) == _RECORDED_DEEP[name]
+
+
+def test_catalog_coefficients_outgrow_a_machine_word():
+    # the pins above hold coefficients wider than 64 bits
+    assert max(expand(FORMS["chi_5_6"], 1000).coeffs.values()).bit_length() > 90
+
+
+def test_expansion_matches_per_point_reference_to_order_40():
+    # deeper than the test above, with every kind of form it draws:
+    # negative leads and a restriction on either coordinate
+    rng = random.Random(40)
+    seen = set()
+    for _ in range(300):
+        form = _random_form(rng)
+        order = rng.randint(13, 40) if rng.random() < 0.5 else F(rng.randint(73, 240), 6)
+        got = _outcome(expand, form, order)
+        assert got == _outcome(_reference_expand, form, order), (form, order)
+        if got is not RangeViolation:
+            seen.add(("r", form.r))
+            seen.add(("negative lead", form.lead < 0))
+            for i, res in enumerate(form.restrictions or ()):
+                if res is not None and res[0] > 1:
+                    seen.add(("restricted", i, form.r))
+    assert seen >= {("r", 1), ("r", 2), ("negative lead", True),
+                    ("restricted", 0, 1), ("restricted", 0, 2), ("restricted", 1, 2)}
+
+
 # ---------------------------------------------------------------------------
 # congruence restrictions
 
