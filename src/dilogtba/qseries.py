@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,13 +54,13 @@ __all__ = [
 
 _SAFETY_CAP = 10**6  # expand's largest coordinate
 _SHELL_CAP = {1: 200_000, 2: 5_000}  # eval_at's largest max(m), by rank
-_C_UINT = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}  # format by size
 
 
 def _as_restriction(res) -> tuple[int, int] | None:
     if res is None:
         return None
-    modulus, residue = map(int, res)
+    modulus, residue = res
+    modulus, residue = int(modulus), int(residue)
     if modulus < 1 or not (0 <= residue < modulus):
         raise DomainError(f"restriction must be (modulus >= 1, 0 <= residue < modulus), got {res}")
     return (modulus, residue)
@@ -373,7 +372,6 @@ def expand(form: FermionicForm, order) -> QSeries:
     # for all t > 0, which is exp(pi sqrt(2rn/3)) at t = pi sqrt(r/(6n)).
     bound = math.pi * math.sqrt(2 * len(Bn) * (slots - 1) / 3) / math.log(2)
     nb = (npts.bit_length() + math.ceil(bound)) // 8 + 1  # bytes per slot
-    nb = next((n for n in _C_UINT if n >= nb), nb)  # widened to a C type if one fits
     W = 8 * nb
     rows = [1]  # R_m = R_(m-1) / (1 - q^m) = 1/(q)_m, on the slots its points need
     for m in range(1, max_inner + 1):
@@ -390,8 +388,7 @@ def expand(form: FermionicForm, order) -> QSeries:
             for n, m in by_outer.get(m1, ()):
                 s += rows[m] << (n - n_lo) * W
         data = (s & class_mask).to_bytes(size * nb, "little")
-        values = (memoryview(data).cast(_C_UINT[nb]).tolist() if nb in _C_UINT
-                  else [int.from_bytes(data[i:i + nb], "little") for i in range(0, size * nb, nb)])
+        values = [int.from_bytes(data[i:i + nb], "little") for i in range(0, size * nb, nb)]
         coeffs.update(zip(range(res + n_lo * L, top + 1, L), values))  # QSeries drops the zeros
 
     return QSeries(denom=L, coeffs=coeffs, order=order)
@@ -430,7 +427,8 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     step, first = (form.restrictions or (None,) * r)[-1] or (1, 0)  # m_r = first mod step
     period = math.lcm(*(res[0] for res in form.restrictions or () if res is not None))
     lnq = math.log(q)
-    limit = min(_SHELL_CAP[r], math.inf if cutoff is None else cutoff)
+    hard_cap = _SHELL_CAP[r]
+    limit = min(cutoff, hard_cap) if cutoff is not None else hard_cap
 
     poch = [1.0]  # (q)_n
     total = 0.0
@@ -559,9 +557,13 @@ FORMS: dict[str, FermionicForm] = {
     ),
 }
 
-# The TBA system whose dilogarithm sum each form's growth must match: its A and c.
+# The TBA system whose dilogarithm sum each form's growth must match.
 FORM_SYSTEMS: dict[str, tuple[RationalSymmetricMatrix | Fraction, Fraction]] = {
-    name: (FORMS[name].A, _F(c)) for name, c in (
-        ("chi_2_5", "2/5"), ("chi_3_4", "1/2"), ("chi_3_5", "3/5"), ("chi_3_7", "5/7"),
-        ("chi_5_6", "4/5"), ("chi_3_8", "3/4"), ("chi_4_5", "7/10"))
+    "chi_2_5": (_F(1), _F(2, 5)),
+    "chi_3_4": (_HALF, _F(1, 2)),
+    "chi_3_5": (_F(1, 4), _F(3, 5)),
+    "chi_3_7": (RationalSymmetricMatrix(1, _HALF, _F(3, 4)), _F(5, 7)),
+    "chi_5_6": (RationalSymmetricMatrix(_HALF, _HALF, _HALF), _F(4, 5)),
+    "chi_3_8": (RationalSymmetricMatrix(1, _HALF, _HALF), _F(3, 4)),
+    "chi_4_5": (RationalSymmetricMatrix(2, _HALF, _HALF), _F(7, 10)),
 }

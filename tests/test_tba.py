@@ -516,36 +516,6 @@ def test_scan_matches_the_full_grid(p, n):
     assert _scan(p, n) == _full_scan(p, n)
 
 
-def _edge_bumps(n, count=4):
-    """Twin bumps on grid n whose critical point c lies within a few ulps
-    of a coarse-cell edge y = (jS + 1)/(n + 1), S = tba._STRIDE, and whose
-    rounded cell index int(((n+1) c - 1) // S), as _scan_block computes
-    it, differs from the exact cell of c: the rows for which the scan
-    refines the neighbours of the critical cell.  At most one per edge."""
-    S = tba._STRIDE
-    rows = []
-    for j in range(1, (n - 2) // S + 1):
-        edge = (j * S + 1) / (n + 1)
-        for ulps in range(-8, 9):
-            c = edge + ulps * math.ulp(edge)
-            p = _twin_bump(c, 1e-6 if ulps % 2 else -1e-9)
-            exact = (n + 1) * (F(p[0]) / (F(p[0]) + F(p[1]))) - 1
-            if int(((n + 1) * (p[0] / (p[0] + p[1])) - 1.0) // S) != math.floor(exact / S):
-                rows.append(p)
-                break
-        if len(rows) == count:
-            return rows
-    raise AssertionError("too few rows")
-
-
-@pytest.mark.parametrize("n", [1001, 20_001, 100_000])
-def test_scan_with_the_critical_point_rounded_into_the_next_cell(n):
-    # the neighbour refinement guards exactly these rows; the scan must
-    # still match the full grid bit for bit
-    rows = _edge_bumps(n)
-    assert _scan_block(rows, n) == [_full_scan(p, n) for p in rows]
-
-
 @st.composite
 def _exponent_blocks(draw):
     """1 to 8 exponent rows and a permutation of them."""
