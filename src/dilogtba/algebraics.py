@@ -2,13 +2,14 @@
 
 A real algebraic number is represented as an integer polynomial together
 with a rational isolating interval containing exactly one of its real
-roots.  Root counting uses Sturm sequences, built over exact rationals;
-isolation is bisection on the Sturm count; refinement is sign-change
-bisection.  Every sign test, and the refinement, runs in integer
-arithmetic: _isign gives the sign of den^n P(num/den), and refine keeps
-its bracket as two integers over one common denominator.  Everything is
-exact until a caller asks for a float or an mpf; to_mpf imports mpmath,
-on first use.
+roots.  Root counting uses Sturm sequences, built by primitive integer
+pseudo-remainders; isolation is bisection on the Sturm count;
+refinement is sign-change bisection.  Every polynomial operation runs
+on Python ints: the square-free part and the Sturm chain come from
+_prem and _primitive, _isign gives the sign of den^n P(num/den), and
+refine keeps its bracket as two integers over one common denominator.
+Everything is exact until a caller asks for a float or an mpf; to_mpf
+imports mpmath, on first use.
 
 The module also names the constants of the dilogarithm identity catalog;
 constant(name) isolates and caches one root on first use, and CONSTANTS,
@@ -41,8 +42,6 @@ from .errors import DomainError
 __all__ = [
     "IntegerPolynomial",
     "AlgebraicNumber",
-    "eval_poly_at",
-    "refine",
     "isolate_real_roots",
     "count_real_roots",
     "rational_sqrt",
@@ -50,13 +49,7 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (constant-first coefficient lists)
-
-
-def _strip(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+# dense integer polynomial kernel (constant-first coefficient lists)
 
 
 def _isign(c: tuple[int, ...] | list[int], num: int, den: int) -> int:
@@ -68,58 +61,62 @@ def _isign(c: tuple[int, ...] | list[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _fderiv(c: list[Fraction]) -> list[Fraction]:
-    return _strip([k * c[k] for k in range(1, len(c))])
+def _primitive(c: tuple[int, ...] | list[int]) -> list[int]:
+    """A new list: c divided by the gcd of its coefficients (c has no trailing zeros)."""
+    g = gcd(*c)
+    return [v // g for v in c] if g > 1 else list(c)
 
 
-def _fdivmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of polynomial division num / den (den nonzero)."""
-    num = num[:]
-    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dn and _strip(num):
-        k = len(num) - 1 - dn
-        q = out[k] = num[-1] / lead
-        for i, dc in enumerate(den):
-            num[k + i] -= q * dc
-        num.pop()
-        _strip(num)
-    return _strip(out), _strip(num)
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a / b times |lc(b)|^k, some k >= 0; b has no trailing zeros.
+
+    Each step scales the running remainder by |lc(b)|, not lc(b): a positive
+    multiple of the true remainder has the same sign at every point, so a
+    Sturm chain built from -_prem keeps every sign variation.  With lc(b)^k
+    a member would flip sign whenever lc(b) < 0 and k is odd.
+    """
+    r, n = a[:], len(b) - 1
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) > n:
+        k, lr = len(r) - 1 - n, r[-1] * sign
+        r = [scale * v for v in r]
+        for i, bc in enumerate(b):
+            r[k + i] -= lr * bc
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
-def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while _strip(b):
-        a, b = b, _fdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
+def _deriv(c: tuple[int, ...] | list[int]) -> list[int]:
+    return [k * c[k] for k in range(1, len(c))]
 
 
-def _squarefree(c: list[Fraction]) -> list[Fraction]:
-    d = _fderiv(c)
-    if not d:
-        return c[:]
-    g = _fgcd(c, d)
-    if len(g) <= 1:
-        return c[:]
-    quotient, remainder = _fdivmod(c, g)
-    if remainder:
-        raise ArithmeticError("inexact polynomial division")
-    return quotient
+def _squarefree(c: tuple[int, ...] | list[int]) -> list[int]:
+    """The primitive square-free part of c, leading coefficient positive.
+
+    The gcd of p and p' comes from a primitive PRS; p primitive makes the
+    quotient p / gcd integral (Gauss's lemma), so the division is exact.
+    """
+    p = _primitive(c)
+    a, b = p, _primitive(_deriv(p))
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    if len(a) > 1:
+        q, n = [0] * (len(p) - len(a) + 1), len(a) - 1
+        for k in reversed(range(len(q))):
+            q[k] = p[k + n] // a[-1]
+            for i, ac in enumerate(a):
+                p[k + i] -= q[k] * ac
+        p = q
+    return [-v for v in p] if p[-1] < 0 else p
 
 
-def _sturm_chain(c: list[Fraction]) -> list[list[int]]:
-    """The Sturm chain of c, each member rescaled to integers by a positive factor."""
-    chain = [c, _fderiv(c)]
-    while len(chain[-1]) > 0:
-        r = [-x for x in _fdivmod(chain[-2], chain[-1])[1]]
-        if not r:
-            break
+def _sturm_chain(c: list[int]) -> list[list[int]]:
+    """The Sturm chain of c, each member a positive multiple of the classical one."""
+    chain = [c, _primitive(_deriv(c))]
+    while r := _primitive([-v for v in _prem(chain[-2], chain[-1])]):
         chain.append(r)
-    return [_scaled_ints(p) for p in chain]
+    return chain
 
 
 def _variations(chain: list[list[int]], x: Fraction) -> int:
@@ -167,9 +164,7 @@ class IntegerPolynomial:
         return acc
 
     def derivative(self) -> "IntegerPolynomial":
-        return IntegerPolynomial(
-            tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-        )
+        return IntegerPolynomial(tuple(_deriv(self.coeffs)))
 
     def __str__(self) -> str:
         parts = []
@@ -177,29 +172,6 @@ class IntegerPolynomial:
             if c:
                 parts.append(f"{c}*t^{k}" if k else f"{c}")
         return " + ".join(parts)
-
-
-def eval_poly_at(poly: IntegerPolynomial, x) -> Fraction:
-    """Exact value of `poly` at the rational point `x`."""
-    return poly.eval_at(x)
-
-
-def _scaled_ints(c: list[Fraction]) -> list[int]:
-    """c times the positive lcm of its denominators."""
-    den = lcm(*[f.denominator for f in c]) if c else 1
-    return [f.numerator * (den // f.denominator) for f in c]
-
-
-def _to_integer_primitive(c: list[Fraction]) -> tuple[int, ...]:
-    ints = _scaled_ints(c)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    if ints and ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +244,8 @@ class AlgebraicNumber:
         return float((self.lo + self.hi) / 2)
 
     def to_mpf(self, dps: int = 50):
+        if dps < 1:
+            raise DomainError(f"dps must be at least 1, got {dps}")
         from mpmath import mp
 
         self.refine(Fraction(1, 10 ** (dps + 5)))
@@ -288,11 +262,6 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({self.poly!s}, ~{self.to_float():.12g})"
 
 
-def refine(a: AlgebraicNumber, eps) -> tuple[Fraction, Fraction]:
-    """Functional form of AlgebraicNumber.refine."""
-    return a.refine(eps)
-
-
 def isolate_real_roots(poly: IntegerPolynomial) -> list[AlgebraicNumber]:
     """All real roots of `poly`, in increasing order, each isolated.
 
@@ -300,18 +269,14 @@ def isolate_real_roots(poly: IntegerPolynomial) -> list[AlgebraicNumber]:
     the Sturm count of real roots of the squarefree part (multiple roots
     are reported once).
     """
-    sf = _squarefree([Fraction(c) for c in poly.coeffs])
-    if len(sf) <= 1:
+    ic = _squarefree(poly.coeffs)
+    if len(ic) <= 1:
         return []
-    ipoly = IntegerPolynomial(_to_integer_primitive(sf))
-    ic = ipoly.coeffs
-    sf = [Fraction(c) for c in ic]
-    chain = _sturm_chain(sf)
+    ipoly = IntegerPolynomial(tuple(ic))
+    chain = _sturm_chain(ic)
 
-    # Cauchy bound: all roots satisfy |t| < 1 + max|c_k / c_n|
-    lead = abs(sf[-1])
-    bound = 1 + max(abs(c) for c in sf) / lead
-    b = Fraction(int(bound) + 1)
+    # Cauchy bound: all roots satisfy |t| < 1 + max|c_k| / c_n, and c_n > 0
+    b = Fraction(max(map(abs, ic)) // ic[-1] + 2)
 
     def count_open(lo: Fraction, hi: Fraction) -> int:
         # roots in (lo, hi); both endpoints must be non-roots
@@ -358,8 +323,10 @@ def isolate_real_roots(poly: IntegerPolynomial) -> list[AlgebraicNumber]:
 
 
 def count_real_roots(poly: IntegerPolynomial, lo=None, hi=None) -> int:
-    """Number of distinct real roots, optionally within (lo, hi]."""
-    sf = _squarefree([Fraction(c) for c in poly.coeffs])
+    """Number of distinct real roots, optionally within (lo, hi]; lo <= hi."""
+    if lo is not None and hi is not None and Fraction(lo) > Fraction(hi):
+        raise DomainError(f"window ({lo}, {hi}] has lo > hi")
+    sf = _squarefree(poly.coeffs)
     if len(sf) <= 1:
         return 0
     chain = _sturm_chain(sf)

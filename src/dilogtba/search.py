@@ -63,6 +63,12 @@ __all__ = [
     "EXAMPLE_CONFIGS",
 ]
 
+# n entry values give up to n^2 (n + 1) matrices: 100 values bound a search
+# at about 10^6 (diag_zero has 95 values, a den12/num8 window 64)
+_MAX_FRACTIONS = 10_000
+_MAX_ENTRY_VALUES = 100
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Enumeration bounds and pipeline switches for run_search.
@@ -70,12 +76,14 @@ class SearchConfig:
     Entries are fractions p/q with 0 <= p <= max_numerator and
     1 <= q <= max_denominator, further clipped to
     [entry_min, entry_max] when given; b additionally takes negative
-    values (subject to the range condition b >= -min(a, d)).
-    tolerance is the recognition tolerance (at least the solver floor
-    of 1e-10); max_st, max_n, max_den bound the charge spectra as in
-    module charges.  fix_d pins d to one exact value; a_eq_d restricts
-    to the symmetric family a = d.  grid_n is the scan resolution used
-    for search solves (suspects re-solve at 20x).
+    values (subject to the range condition b >= -min(a, d)).  At most
+    100 entry values are allowed, and (max_numerator + 1) *
+    max_denominator may be at most 10 000.  tolerance is the
+    recognition tolerance (at least the solver floor of 1e-10); max_st,
+    max_n, max_den bound the charge spectra as in module charges.
+    fix_d pins d to one exact value; a_eq_d restricts to the symmetric
+    family a = d.  grid_n is the scan resolution used for search solves
+    (suspects re-solve at 20x).
     """
 
     max_numerator: int = 8
@@ -90,6 +98,7 @@ class SearchConfig:
     fix_d: Fraction | None = None
     a_eq_d: bool = False
     grid_n: int = 20_001
+    _values: list[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_numerator < 1 or self.max_denominator < 1:
@@ -102,9 +111,11 @@ class SearchConfig:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, _as_fraction(v, name))
-
-    def entry_values(self) -> list[Fraction]:
-        """Nonnegative entry values within the bounds, ascending."""
+        # the cheap bound first, so the loop below never runs over a huge range
+        pairs = (self.max_numerator + 1) * self.max_denominator
+        if pairs > _MAX_FRACTIONS:
+            raise ValueError(f"(max_numerator + 1) * max_denominator = {pairs} "
+                             f"is above {_MAX_FRACTIONS}")
         vals = set()
         for q in range(1, self.max_denominator + 1):
             for p in range(0, self.max_numerator + 1):
@@ -114,7 +125,13 @@ class SearchConfig:
                 if self.entry_max is not None and v > self.entry_max:
                     continue
                 vals.add(v)
-        return sorted(vals)
+        if len(vals) > _MAX_ENTRY_VALUES:
+            raise ValueError(f"{len(vals)} entry values are above the cap of {_MAX_ENTRY_VALUES}")
+        object.__setattr__(self, "_values", sorted(vals))
+
+    def entry_values(self) -> list[Fraction]:
+        """Nonnegative entry values within the bounds, ascending."""
+        return self._values[:]
 
 
 @dataclass(frozen=True)

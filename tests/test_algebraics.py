@@ -8,9 +8,13 @@ rational arithmetic.
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,10 +29,8 @@ from dilogtba import (
     IntegerPolynomial,
     constant,
     count_real_roots,
-    eval_poly_at,
     isolate_real_roots,
     rational_sqrt,
-    refine,
 )
 from test_cli import child_env
 
@@ -37,7 +39,7 @@ def test_polynomial_basics():
     p = IntegerPolynomial((-2, 0, 1))  # t^2 - 2
     assert p.degree == 2
     assert p.eval_at(2) == 2
-    assert eval_poly_at(p, F(3, 2)) == F(1, 4)
+    assert p.eval_at(F(3, 2)) == F(1, 4)
     assert p.derivative().coeffs == (0, 2)
     # trailing zeros trimmed
     assert IntegerPolynomial((1, 1, 0, 0)).degree == 1
@@ -53,7 +55,7 @@ def test_isolate_sqrt2():
     neg, pos = roots
     assert float(neg) == pytest.approx(-math.sqrt(2.0), abs=1e-14)
     assert float(pos) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-    lo, hi = refine(pos, F(1, 10**15))
+    lo, hi = pos.refine(F(1, 10**15))
     assert hi - lo <= F(1, 10**15)
     assert lo < hi
     assert float(lo) <= math.sqrt(2.0) <= float(hi)
@@ -114,6 +116,23 @@ def test_bracket_validation():
         AlgebraicNumber(p, 2, 1)
     with pytest.raises(DomainError):
         AlgebraicNumber(p, 2, 3)  # no sign change
+
+
+def test_count_window_must_not_be_inverted():
+    p = IntegerPolynomial((-2, 0, 1))
+    for lo, hi in ((2, 0), (2, -2), (F(1, 2), F(1, 3))):
+        with pytest.raises(DomainError):
+            count_real_roots(p, lo, hi)
+    assert count_real_roots(p, 2, 2) == 0
+    assert count_real_roots(p, -2, 2) == 2
+
+
+def test_to_mpf_rejects_dps_below_one():
+    root = isolate_real_roots(IntegerPolynomial((-2, 0, 1)))[1]
+    for dps in (-5, 0):
+        with pytest.raises(DomainError):
+            root.to_mpf(dps)
+    assert float(root.to_mpf(1)) == pytest.approx(1.4, abs=0.05)
 
 
 def test_rational_sqrt():
@@ -464,3 +483,175 @@ def test_refine_matches_fraction_bisection_examples():
         for name in _NAMES:
             coeffs, lo, hi = algebraics._WINDOWS[name]
             _assert_refines_like_the_oracle(algebraics._root_between(coeffs, lo, hi), schedule)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction polynomial helpers it replaced,
+# kept here verbatim as the oracle: the same square-free part, a Sturm chain
+# whose members are positive multiples of the Fraction chain's, and so the
+# same counts and isolating intervals.
+
+
+def _strip(c: list[Fraction]) -> list[Fraction]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+
+def _fderiv(c: list[Fraction]) -> list[Fraction]:
+    return _strip([k * c[k] for k in range(1, len(c))])
+
+
+def _fdivmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomial division num / den (den nonzero)."""
+    num = num[:]
+    out = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    dn = len(den) - 1
+    lead = den[-1]
+    while len(num) - 1 >= dn and _strip(num):
+        k = len(num) - 1 - dn
+        q = out[k] = num[-1] / lead
+        for i, dc in enumerate(den):
+            num[k + i] -= q * dc
+        num.pop()
+        _strip(num)
+    return _strip(out), _strip(num)
+
+
+def _fgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = a[:], b[:]
+    while _strip(b):
+        a, b = b, _fdivmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def _squarefree(c: list[Fraction]) -> list[Fraction]:
+    d = _fderiv(c)
+    if not d:
+        return c[:]
+    g = _fgcd(c, d)
+    if len(g) <= 1:
+        return c[:]
+    quotient, remainder = _fdivmod(c, g)
+    if remainder:
+        raise ArithmeticError("inexact polynomial division")
+    return quotient
+
+
+def _sturm_chain(c: list[Fraction]) -> list[list[int]]:
+    """The Sturm chain of c, each member rescaled to integers by a positive factor."""
+    chain = [c, _fderiv(c)]
+    while len(chain[-1]) > 0:
+        r = [-x for x in _fdivmod(chain[-2], chain[-1])[1]]
+        if not r:
+            break
+        chain.append(r)
+    return [_scaled_ints(p) for p in chain]
+
+
+def _scaled_ints(c: list[Fraction]) -> list[int]:
+    """c times the positive lcm of its denominators."""
+    den = lcm(*[f.denominator for f in c]) if c else 1
+    return [f.numerator * (den // f.denominator) for f in c]
+
+
+def _to_integer_primitive(c: list[Fraction]) -> tuple[int, ...]:
+    ints = _scaled_ints(c)
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g:
+        ints = [v // g for v in ints]
+    if ints and ints[-1] < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def _oracle_count(poly, lo=None, hi=None):
+    sf = _squarefree([Fraction(c) for c in poly.coeffs])
+    if len(sf) <= 1:
+        return 0
+    chain = _sturm_chain(sf)
+    variations, variations_inf = algebraics._variations, algebraics._variations_inf
+    va = variations(chain, Fraction(lo)) if lo is not None else variations_inf(chain, False)
+    vb = variations(chain, Fraction(hi)) if hi is not None else variations_inf(chain, True)
+    return va - vb
+
+
+def _oracle_isolation(poly, monkeypatch):
+    """isolate_real_roots with the Fraction square-free part and Sturm chain."""
+    with monkeypatch.context() as m:
+        m.setattr(algebraics, "_squarefree",
+                  lambda c: list(_to_integer_primitive(_squarefree([Fraction(x) for x in c]))))
+        m.setattr(algebraics, "_sturm_chain", lambda c: _sturm_chain([Fraction(x) for x in c]))
+        return [(r.lo, r.hi, r._exact) for r in isolate_real_roots(poly)]
+
+
+def _mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)]
+
+
+def _random_poly(rng):
+    """Degree <= 10: a sparse random part, often times a repeated factor, a power
+    of t and a content; the leading coefficient takes either sign."""
+    c = [rng.choice((0, 0, *range(-9, 10))) for _ in range(rng.randint(1, 6))]
+    c.append(rng.choice((-3, -2, -1, 1, 2, 3)))
+    if rng.random() < 0.5:
+        factor = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 2)]
+        for _ in range(rng.choice((2, 3))):
+            if len(c) + len(factor) - 2 <= 10:
+                c = _mul(c, factor)
+    if rng.random() < 0.25 and len(c) <= 10:
+        c = [0] + c
+    return IntegerPolynomial(tuple(rng.choice((-6, -4, -1, 1, 3)) * v for v in c))
+
+
+def _assert_kernel_matches_the_oracle(poly, monkeypatch):
+    fr = [Fraction(c) for c in poly.coeffs]
+    sf = algebraics._squarefree(poly.coeffs)
+    assert tuple(sf) == _to_integer_primitive(_squarefree(fr))
+    if len(sf) > 1:
+        # the Cauchy bound in integers equals the one computed over Fraction
+        assert max(map(abs, sf)) // sf[-1] + 2 == int(1 + Fraction(max(map(abs, sf)), sf[-1])) + 1
+        chain, oracle = algebraics._sturm_chain(sf), _sturm_chain([Fraction(c) for c in sf])
+        assert len(chain) == len(oracle)
+        for new, old in zip(chain, oracle):
+            assert len(new) == len(old)
+            ratio = Fraction(new[-1], old[-1])
+            assert ratio > 0 and all(n == ratio * o for n, o in zip(new, old))
+    for lo, hi in _STURM_WINDOWS:
+        assert count_real_roots(poly, lo, hi) == _oracle_count(poly, lo, hi), (poly, lo, hi)
+    got = [(r.lo, r.hi, r._exact) for r in isolate_real_roots(poly)]
+    assert got == _oracle_isolation(poly, monkeypatch), poly
+
+
+def test_integer_kernel_matches_the_fraction_oracle(monkeypatch):
+    rng = random.Random(20261019)
+    polys = [_random_poly(rng) for _ in range(400)]
+    polys += [IntegerPolynomial(c) for c in _STURM_SAMPLE]
+    assert any(p.coeffs[-1] < 0 for p in polys) and any(p.coeffs[0] == 0 for p in polys)
+    assert any(gcd(*p.coeffs) > 1 for p in polys)
+    assert any(len(algebraics._squarefree(p.coeffs)) < len(p.coeffs) for p in polys)
+    for poly in polys:
+        _assert_kernel_matches_the_oracle(poly, monkeypatch)
+
+
+def test_integer_kernel_coefficient_growth_is_bounded(monkeypatch):
+    # twelve distinct rational roots: the primitive PRS keeps the chain's
+    # coefficients at 254 bits and both calls at a few ms; without the
+    # content division they grow to 439 260 bits and take about a second
+    poly = IntegerPolynomial(_expand(F(1, 2), F(-2, 3), 3, F(5, 4), -1, F(7, 5), F(-3, 7), 2,
+                                     F(1, 8), F(-9, 4), F(11, 6), F(13, 9)))
+    assert poly.degree == 12
+    start = time.perf_counter()
+    assert count_real_roots(poly) == 12
+    assert len(isolate_real_roots(poly)) == 12
+    assert time.perf_counter() - start < 0.25
+    chain = algebraics._sturm_chain(algebraics._squarefree(poly.coeffs))
+    assert max(abs(c).bit_length() for p in chain for c in p) <= 512
+    _assert_kernel_matches_the_oracle(poly, monkeypatch)

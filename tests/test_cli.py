@@ -557,6 +557,19 @@ def test_expand_order_above_the_cap_exits_2(order):
     assert "must be at most 5000" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [["--max-den-entries", "200", "--max-num", "200"],
+                                   ["--max-den-entries", "20", "--max-num", "8"]])
+def test_search_above_the_enumeration_cap_exits_2(flags):
+    # unbounded flags built every matrix: a hang or a MemoryError traceback.
+    # The cap answers at cold start (about 0.2 s); a child process with a
+    # timeout makes a regression fail instead of hang.
+    proc = subprocess.run([sys.executable, "-m", "dilogtba.cli", "search", *flags],
+                          capture_output=True, text=True, env=child_env(), timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "above" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_expand_order_at_the_cap_runs():
     code, out, _ = run_cli(["expand", "chi_2_5", "--order", "5000", "--no-header"])
     assert code == 0

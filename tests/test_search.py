@@ -101,6 +101,17 @@ def test_config_validation():
         SearchConfig(max_numerator=0)
 
 
+def test_config_caps_the_enumeration():
+    # unbounded flags enumerated every matrix: 200/200 has ~1.5e13 of them
+    with pytest.raises(ValueError, match="above 10000"):
+        SearchConfig(max_denominator=200, max_numerator=200)
+    with pytest.raises(ValueError, match="106 entry values"):
+        SearchConfig(max_denominator=20, max_numerator=8)
+    # clipping decides: the same flags with a narrow window pass
+    assert len(SearchConfig(max_denominator=20, max_numerator=8, entry_max=1).entry_values()) == 85
+    assert len(SearchConfig(max_denominator=12, max_numerator=8).entry_values()) == 64
+
+
 def test_config_rejects_a_grid_below_the_solver_floor():
     # solve_r2 refuses grid_n < 1001; the search must not start on such a grid
     for grid_n in (10, 1000):
