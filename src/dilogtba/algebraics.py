@@ -48,6 +48,15 @@ __all__ = [
     "constant",
 ]
 
+
+def _rational(v, what: str) -> Fraction:
+    """Fraction(v); DomainError for a non-finite float or a non-number."""
+    try:
+        return Fraction(v)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{what} must be a finite rational, got {v!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # dense integer polynomial kernel (constant-first coefficient lists)
 
@@ -158,7 +167,7 @@ class IntegerPolynomial:
 
     def eval_at(self, x) -> Fraction:
         """Exact evaluation at a rational point."""
-        x, acc = Fraction(x), Fraction(0)
+        x, acc = _rational(x, "x"), Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -193,7 +202,7 @@ class AlgebraicNumber:
     __slots__ = ("poly", "lo", "hi", "_exact")
 
     def __init__(self, poly: IntegerPolynomial, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
         if hi <= lo:
             raise DomainError("isolating interval must satisfy lo < hi")
         self.poly = poly
@@ -207,7 +216,7 @@ class AlgebraicNumber:
 
     def refine(self, eps) -> tuple[Fraction, Fraction]:
         """Narrow the isolating interval to width <= eps; returns it."""
-        eps = Fraction(eps)
+        eps = _rational(eps, "eps")
         if eps <= 0:
             raise DomainError("eps must be positive")
         if self.hi - self.lo <= eps:
@@ -244,8 +253,8 @@ class AlgebraicNumber:
         return float((self.lo + self.hi) / 2)
 
     def to_mpf(self, dps: int = 50):
-        if dps < 1:
-            raise DomainError(f"dps must be at least 1, got {dps}")
+        if not isinstance(dps, int) or dps < 1:
+            raise DomainError(f"dps must be an integer of at least 1, got {dps!r}")
         from mpmath import mp
 
         self.refine(Fraction(1, 10 ** (dps + 5)))
@@ -324,20 +333,21 @@ def isolate_real_roots(poly: IntegerPolynomial) -> list[AlgebraicNumber]:
 
 def count_real_roots(poly: IntegerPolynomial, lo=None, hi=None) -> int:
     """Number of distinct real roots, optionally within (lo, hi]; lo <= hi."""
-    if lo is not None and hi is not None and Fraction(lo) > Fraction(hi):
+    lo, hi = (None if v is None else _rational(v, "window end") for v in (lo, hi))
+    if lo is not None and hi is not None and lo > hi:
         raise DomainError(f"window ({lo}, {hi}] has lo > hi")
     sf = _squarefree(poly.coeffs)
     if len(sf) <= 1:
         return 0
     chain = _sturm_chain(sf)
-    va = _variations(chain, Fraction(lo)) if lo is not None else _variations_inf(chain, False)
-    vb = _variations(chain, Fraction(hi)) if hi is not None else _variations_inf(chain, True)
+    va = _variations(chain, lo) if lo is not None else _variations_inf(chain, False)
+    vb = _variations(chain, hi) if hi is not None else _variations_inf(chain, True)
     return va - vb
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    x = Fraction(x)
+    x = _rational(x, "radicand")
     if x < 0:
         raise DomainError("negative radicand")
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)

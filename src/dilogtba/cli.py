@@ -6,6 +6,9 @@ exact fractions via -A (one entry for the rank-1 system, "inf"
 allowed; three entries a b d for rank 2); --scale p/q multiplies all
 entries, so "1/2 scaled (8 5; 5 4)" is `-A 8 5 4 --scale 1/2`.
 
+search applies --tol and each search flag given over the --config
+preset (or the SearchConfig defaults); a flag left out keeps its value.
+
 Text reports go to standard output (first line is a version header,
 suppressed by --no-header); diagnostics go to standard error.  --json
 switches to a JSON document that validates against the shipped schema
@@ -30,7 +33,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import re
@@ -54,6 +56,7 @@ from .qseries import FORMS, FORM_SYSTEMS, _ceff_samples, estimate_ceff, expand
 from .search import (
     EXAMPLE_CONFIGS,
     SearchConfig,
+    _json_text,
     _matches_json,
     _matrix_json,
     _measured,
@@ -89,6 +92,14 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"malformed fraction for {what}: {text!r} ({exc})") from None
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact fraction p/q (argparse names the flag)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"malformed fraction {text!r} ({exc})") from None
 
 
 def _positive_float(source: str = ""):
@@ -130,12 +141,9 @@ def _matches_text(m: ChargeMatch) -> str:
 
 def _read_matrix(args) -> tuple[str, object]:
     """('r1', Fraction | INFINITY) or ('r2', RationalSymmetricMatrix)."""
-    entries = args.A
-    scale = Fraction(1)
-    if getattr(args, "scale", None):
-        scale = _parse_fraction(args.scale, "--scale")
-        if scale <= 0:
-            raise _InputError(f"--scale must be positive, got {args.scale}")
+    entries, scale = args.A, args.scale
+    if scale <= 0:
+        raise _InputError(f"--scale must be positive, got {scale}")
     if len(entries) == 1:
         raw = entries[0]
         if raw.lower() in ("inf", "infinity"):
@@ -143,13 +151,13 @@ def _read_matrix(args) -> tuple[str, object]:
         return "r1", _parse_fraction(raw, "entry a") * scale
     if len(entries) == 3:
         a, b, d = (_parse_fraction(t, f"entry {n}") for t, n in zip(entries, "abd"))
-        return "r2", RationalSymmetricMatrix(a * scale, b * scale, d * scale)
+        return "r2", RationalSymmetricMatrix(a, b, d).scaled(scale)
     raise _InputError(f"-A takes one entry (rank 1) or three entries a b d (rank 2), got {len(entries)}")
 
 
 def _emit(args, text_lines: list[str], json_doc: dict) -> None:
     if args.json:
-        sys.stdout.write(json.dumps(json_doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(json_doc))
         return
     out = []
     if not args.no_header:
@@ -305,23 +313,11 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    base = EXAMPLE_CONFIGS[args.config] if args.config is not None else SearchConfig()
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)
+             if hasattr(args, f.name)}
     try:
-        if args.config is not None:
-            cfg = EXAMPLE_CONFIGS[args.config]
-            if args.tol != cfg.tolerance:
-                cfg = dataclasses.replace(cfg, tolerance=args.tol)
-        else:
-            cfg = SearchConfig(
-                max_numerator=args.max_num,
-                max_denominator=args.max_den_entries,
-                entry_min=_parse_fraction(args.entry_min, "--entry-min") if args.entry_min else None,
-                entry_max=_parse_fraction(args.entry_max, "--entry-max") if args.entry_max else None,
-                tolerance=args.tol,
-                require_uniqueness=not args.keep_nonunique,
-                fix_d=_parse_fraction(args.fix_d, "--fix-d") if args.fix_d is not None else None,
-                a_eq_d=args.a_eq_d,
-                grid_n=args.grid_n,
-            )
+        cfg = dataclasses.replace(base, tolerance=args.tol, **flags)
     except ValueError as exc:  # SearchConfig's own checks, e.g. the tolerance floor
         raise _InputError(f"search: {exc}") from None
     rep = run_search(cfg)
@@ -466,7 +462,7 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     matrix = argparse.ArgumentParser(add_help=False)
     matrix.add_argument("-A", nargs="+", required=True, metavar="ENTRY",
                         help="matrix entries: a (rank 1, 'inf' allowed) or a b d (rank 2)")
-    matrix.add_argument("--scale", metavar="P/Q", default=None,
+    matrix.add_argument("--scale", type=_fraction, metavar="P/Q", default=Fraction(1),
                         help="multiply all entries by an exact fraction")
 
     p = argparse.ArgumentParser(
@@ -510,23 +506,25 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
                     help="largest denominator for plain-rational matches")
     sp.set_defaults(func=_cmd_recognize)
 
-    sp = sub.add_parser("search", parents=[common],
+    # each flag's dest is its SearchConfig field; a flag left out is absent
+    # from args (default SUPPRESS), so the preset's value stands
+    sp = sub.add_parser("search", parents=[common], argument_default=argparse.SUPPRESS,
                         help="enumerate matrices and report admissible candidates")
     sp.add_argument("--config", choices=sorted(EXAMPLE_CONFIGS), default=None,
-                    help="use a named example configuration")
-    sp.add_argument("--max-den-entries", type=_int_at_least(1), default=2,
+                    help="start from a named example configuration (flags override it)")
+    sp.add_argument("--max-den-entries", dest="max_denominator", type=_int_at_least(1),
                     help="largest entry denominator")
-    sp.add_argument("--max-num", type=_int_at_least(1), default=8,
+    sp.add_argument("--max-num", dest="max_numerator", type=_int_at_least(1),
                     help="largest entry numerator")
-    sp.add_argument("--entry-min", default=None, metavar="P/Q")
-    sp.add_argument("--entry-max", default=None, metavar="P/Q")
-    sp.add_argument("--fix-d", default=None, metavar="P/Q", help="pin d to one value")
+    sp.add_argument("--entry-min", type=_fraction, metavar="P/Q")
+    sp.add_argument("--entry-max", type=_fraction, metavar="P/Q")
+    sp.add_argument("--fix-d", type=_fraction, metavar="P/Q", help="pin d to one value")
     sp.add_argument("--a-eq-d", action="store_true", help="restrict to a = d")
-    sp.add_argument("--keep-nonunique", action="store_true",
+    sp.add_argument("--keep-nonunique", dest="require_uniqueness", action="store_false",
                     help="treat multi-solution matrices as ordinary candidates")
-    sp.add_argument("--grid-n", type=_int_at_least(1001), default=20_001,
+    sp.add_argument("--grid-n", type=_int_at_least(1001),
                     help="scan resolution (at least 1001)")
-    sp.add_argument("--dedupe", action="store_true",
+    sp.add_argument("--dedupe", action="store_true", default=False,
                     help="collapse duality-paired candidates to the c <= 1 member")
     sp.set_defaults(func=_cmd_search)
 

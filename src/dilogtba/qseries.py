@@ -557,13 +557,10 @@ FORMS: dict[str, FermionicForm] = {
     ),
 }
 
-# The TBA system whose dilogarithm sum each form's growth must match.
+# Each form's TBA system (its own A) and the charge its growth must match.
 FORM_SYSTEMS: dict[str, tuple[RationalSymmetricMatrix | Fraction, Fraction]] = {
-    "chi_2_5": (_F(1), _F(2, 5)),
-    "chi_3_4": (_HALF, _F(1, 2)),
-    "chi_3_5": (_F(1, 4), _F(3, 5)),
-    "chi_3_7": (RationalSymmetricMatrix(1, _HALF, _F(3, 4)), _F(5, 7)),
-    "chi_5_6": (RationalSymmetricMatrix(_HALF, _HALF, _HALF), _F(4, 5)),
-    "chi_3_8": (RationalSymmetricMatrix(1, _HALF, _HALF), _F(3, 4)),
-    "chi_4_5": (RationalSymmetricMatrix(2, _HALF, _HALF), _F(7, 10)),
+    name: (FORMS[name].A, c)
+    for name, c in [("chi_2_5", _F(2, 5)), ("chi_3_4", _F(1, 2)), ("chi_3_5", _F(3, 5)),
+                    ("chi_3_7", _F(5, 7)), ("chi_5_6", _F(4, 5)), ("chi_3_8", _F(3, 4)),
+                    ("chi_4_5", _F(7, 10))]
 }

@@ -79,11 +79,11 @@ class SearchConfig:
     values (subject to the range condition b >= -min(a, d)).  At most
     100 entry values are allowed, and (max_numerator + 1) *
     max_denominator may be at most 10 000.  tolerance is the
-    recognition tolerance (at least the solver floor of 1e-10); max_st,
-    max_n, max_den bound the charge spectra as in module charges.
-    fix_d pins d to one exact value; a_eq_d restricts to the symmetric
-    family a = d.  grid_n is the scan resolution used for search solves
-    (suspects re-solve at 20x).
+    recognition tolerance (at least the solver floor of 1e-10); the
+    charge spectra are those of charges.recognize at its default
+    bounds.  fix_d pins d to one exact value; a_eq_d restricts to the
+    symmetric family a = d.  grid_n is the scan resolution used for
+    search solves (suspects re-solve at 20x).
     """
 
     max_numerator: int = 8
@@ -91,9 +91,6 @@ class SearchConfig:
     entry_min: Fraction | None = None
     entry_max: Fraction | None = None
     tolerance: float = 1e-9
-    max_st: int = 200
-    max_n: int = 60
-    max_den: int = 10_000
     require_uniqueness: bool = True
     fix_d: Fraction | None = None
     a_eq_d: bool = False
@@ -235,15 +232,13 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             continue
         report.solved += 1
 
-        match = recognize(sol.c, tol=cfg.tolerance, max_st=cfg.max_st,
-                          max_n=cfg.max_n, max_den=cfg.max_den)
+        match = recognize(sol.c, tol=cfg.tolerance)
         suspect = False
         if not match.empty and match.residual > 1e-9:
             # near-miss: re-solve on a much finer grid before accepting
             suspect = True
             sol = solve_r2(A, grid_n=20 * cfg.grid_n, tol=1e-15)
-            match = recognize(sol.c, tol=cfg.tolerance, max_st=cfg.max_st,
-                              max_n=cfg.max_n, max_den=cfg.max_den)
+            match = recognize(sol.c, tol=cfg.tolerance)
 
         if sol.multiplicity > 1 and cfg.require_uniqueness:
             section = report.nonunique
@@ -423,9 +418,15 @@ def _report_doc(report: SearchReport, tol: float):
     }
 
 
+def _json_text(doc) -> str:
+    """The one JSON serializer of the package: indented, sorted keys,
+    finite numbers only (NaN or infinity raises ValueError)."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def report_json(report: SearchReport, tol: float = 1e-9) -> str:
     """JSON search report matching the shipped output schema."""
-    return json.dumps(_report_doc(report, tol), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _json_text(_report_doc(report, tol))
 
 
 # Example configurations; together they recover the full catalog of

@@ -135,6 +135,29 @@ def test_to_mpf_rejects_dps_below_one():
     assert float(root.to_mpf(1)) == pytest.approx(1.4, abs=0.05)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: count_real_roots(p, _NAN, 1),
+    lambda p: count_real_roots(p, 0, _INF),
+    lambda p: count_real_roots(p, "x", 1),
+    lambda p: AlgebraicNumber(p, 1, _NAN),
+    lambda p: AlgebraicNumber(p, -_INF, 2),
+    lambda p: constant("rho").refine(_INF),
+    lambda p: constant("rho").refine(_NAN),
+    lambda p: constant("rho").to_mpf(2.5),
+    lambda p: isolate_real_roots(p)[1].to_mpf("30"),
+    lambda p: p.eval_at(_NAN),
+    lambda p: rational_sqrt(_INF),
+], ids=["count-nan", "count-inf", "count-text", "interval-nan", "interval-inf",
+        "refine-inf", "refine-nan", "dps-float", "dps-text", "eval-nan", "sqrt-inf"])
+def test_non_finite_or_non_numeric_inputs_raise_domain_error(call):
+    # a bare ValueError, OverflowError or TypeError escaped before
+    with pytest.raises(DomainError):
+        call(IntegerPolynomial((-2, 0, 1)))
+
+
 def test_rational_sqrt():
     assert rational_sqrt(F(9, 4)) == F(3, 2)
     assert rational_sqrt(F(0)) == 0

@@ -12,7 +12,6 @@ from dilogtba import ChargeMatch, recognize
 from dilogtba import charges
 from dilogtba.charges import _balanced_coprime_split, _best_rational, spectrum
 from dilogtba.errors import DomainError
-from dilogtba.search import SearchConfig, run_search
 
 
 def test_minimal_model_values():
@@ -146,8 +145,6 @@ def test_spectrum_bounds_are_capped_for_every_caller():
         recognize(0.5, max_st=10**5)
     with pytest.raises(DomainError):
         spectrum(200, 10_001)
-    with pytest.raises(DomainError):
-        run_search(SearchConfig(max_st=10**6))
     assert charges.MAX_SPECTRUM_BOUND == 10_000
     assert len(spectrum(10_000, 10_000).values) == 29_997
 

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 import dilogtba
 from dilogtba import cli
 from dilogtba.cli import parse_and_dispatch
+from dilogtba.search import EXAMPLE_CONFIGS, SearchConfig, report_json, run_search
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -458,6 +459,28 @@ def test_search_text_has_summary_header():
                             "--no-header"])
     assert code == 0
     assert out.splitlines()[0].startswith("scanned ")
+
+
+def test_search_flags_override_a_named_config(schema):
+    # the symmetric preset alone scans 781 matrices and lists 91 nonunique
+    doc = run_json(["search", "--config", "symmetric", "--max-num", "2",
+                    "--keep-nonunique", "--json"], schema)
+    assert doc["report"]["scanned"] == 69
+    assert doc["report"]["nonunique"] == []
+
+
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_search_malformed_fraction_flag_exits_2(value):
+    code, out, err = run_cli(["search", "--entry-min", value])
+    assert (code, out) == (2, "")
+    assert "--entry-min" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["den2", "symmetric", None])
+def test_search_report_is_the_library_report(name, schema):
+    cfg = SearchConfig() if name is None else EXAMPLE_CONFIGS[name]
+    doc = run_json(["search", "--json"] + ([] if name is None else ["--config", name]), schema)
+    assert doc["report"] == json.loads(report_json(run_search(cfg), cfg.tolerance))
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,7 @@ def _brute_force_admissible(cfg: SearchConfig) -> dict:
                 if forces_xy_one(A):
                     continue
                 sol = solve_r2(A, grid_n=cfg.grid_n)
-                match = recognize(sol.c, tol=cfg.tolerance, max_st=cfg.max_st,
-                                  max_n=cfg.max_n, max_den=cfg.max_den)
+                match = recognize(sol.c, tol=cfg.tolerance)
                 if sol.multiplicity == 1 and not match.empty:
                     out[A] = match
     return out
