@@ -300,8 +300,8 @@ def _cmd_recognize(args) -> int:
         raise _InputError(f"malformed value {raw!r} ({exc})") from None
     if not math.isfinite(value):
         raise _InputError(f"value must be a finite number, got {raw!r}")
-    m = recognize(value, tol=args.tol, max_st=args.max_st, max_n=args.max_n,
-                  max_den=args.max_den)
+    bounds = {k: getattr(args, k) for k in ("max_st", "max_n", "max_den") if hasattr(args, k)}
+    m = recognize(value, tol=args.tol, **bounds)
     lines = [f"value {value!r}", _matches_text(m)]
     doc = {
         "command": "recognize",
@@ -495,14 +495,18 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
                     help="solve the input matrix even when out of range")
     sp.set_defaults(func=_cmd_dual)
 
+    # a bound left out is absent from args (default SUPPRESS), so
+    # charges.recognize's own default applies
     sp = sub.add_parser("recognize", parents=[common],
                         help="match a value against the charge spectra")
     sp.add_argument("value", help="decimal or fraction p/q")
-    sp.add_argument("--max-st", type=_int_at_least(1, MAX_SPECTRUM_BOUND), default=200,
+    sp.add_argument("--max-st", type=_int_at_least(1, MAX_SPECTRUM_BOUND),
+                    default=argparse.SUPPRESS,
                     help=f"largest |st| product (at most {MAX_SPECTRUM_BOUND})")
-    sp.add_argument("--max-n", type=_int_at_least(1, MAX_SPECTRUM_BOUND), default=60,
+    sp.add_argument("--max-n", type=_int_at_least(1, MAX_SPECTRUM_BOUND),
+                    default=argparse.SUPPRESS,
                     help=f"largest parafermionic n (at most {MAX_SPECTRUM_BOUND})")
-    sp.add_argument("--max-den", type=_int_at_least(1), default=10_000,
+    sp.add_argument("--max-den", type=_int_at_least(1), default=argparse.SUPPRESS,
                     help="largest denominator for plain-rational matches")
     sp.set_defaults(func=_cmd_recognize)
 

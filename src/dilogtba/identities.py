@@ -31,10 +31,20 @@ strings preserved exactly as read.
 
 verify() evaluates an entry's residual |sum coeff L(arg) - target| in
 binary64 (arguments resolved from isolating intervals refined to 1e-20)
-or, for precision requests below 1e-13, in mpmath arbitrary precision,
-where each L(arg) comes from dilog.rogers_L_mp: the mpf argument taken
-exactly and the series summed as one integer fixed-point pass.  Only the
-mp branches of evaluate_expression and verify import mpmath, on first use.
+or, for precision requests below 1e-13, as |sum coeff [L(arg)]_D -
+target| computed exactly in rationals, where [.]_D rounds to the nearest
+binary float of D working digits.  Each L(arg) comes from
+dilog.rogers_L_mp at D + 12 digits (argument and series), so the 12
+guard digits (about 40 bits) make the rounding to D digits the correctly
+rounded one.  An entry keeps those values at the finest D requested so
+far, and a later request at that D or coarser rounds them again instead
+of recomputing; since both the kept and a fresh value carry the guard
+digits, the residual is the same whatever ran before (barring an L value
+within about 2^-40 units of a rounding midpoint).  This is the
+refine-in-place rule algebraics.AlgebraicNumber follows for the
+constants.  cross_check_tba() keeps its result on the entry as well.
+Only the mp branches of evaluate_expression and verify import mpmath,
+on first use.
 """
 
 from __future__ import annotations
@@ -242,6 +252,10 @@ class IdentityEntry:
     source: str
     # the parsed expression of each term, in order
     _asts: tuple = field(init=False, repr=False, compare=False)
+    # (dps, rogers_L_mp value of each term) at the finest dps verify has
+    # needed, and the cross-check against matrix; filled on first use
+    _kept_values: tuple = field(default=(0, ()), init=False, repr=False, compare=False)
+    _kept_cross: CrossCheckResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_asts", tuple(parse_expression(e) for _, e in self.terms))
@@ -348,13 +362,38 @@ def _check_unit_interval(name: str, value: float) -> float:
     raise DomainError(f"argument of entry {name!r} evaluates to {value}, outside [0,1]")
 
 
+# Digits computed beyond the working precision D, so that rounding a kept
+# value to any D' <= D digits gives the correctly rounded L.
+_GUARD_DPS = 12
+
+
+def _rogers_L_values(entry: IdentityEntry, dps: int) -> tuple:
+    """rogers_L_mp of each term's argument, everything at dps digits."""
+    import mpmath
+
+    args = entry.arguments("mp", dps)
+    with mpmath.workdps(dps):
+        slack = mpmath.mpf(10) ** (5 - dps)
+        lo, hi = -slack, 1 + slack
+    values = []
+    for arg in args:
+        if not lo <= arg <= hi:
+            raise DomainError(f"argument of entry {entry.name!r} evaluates to {arg}, outside [0,1]")
+        values.append(rogers_L_mp(min(1, max(0, arg)), dps=dps))
+    return tuple(values)
+
+
 def verify(entry: IdentityEntry, precision: float = 1e-12) -> float:
     """Residual |sum coeff * L(arg) - target| of one catalog entry.
 
     precision >= 1e-13 uses binary64 throughout (arguments accurate to
     about 1e-16, L evaluated by series and reflection).  Smaller
-    precision switches to mpmath with enough working digits to make the
-    requested residual resolvable.
+    precision works at D = max(30, ceil(-log10 precision) + 15) digits:
+    each L(arg) is rounded to nearest at D digits from a value computed
+    with 12 guard digits, and the sum minus target is taken exactly, so
+    the residual is that of the correctly rounded terms.  The entry keeps
+    its values at the finest D so far; a request at that D or coarser
+    reuses them (see the module docstring).
     """
     if not (precision > 0):
         raise ValueError(f"precision must be positive, got {precision}")
@@ -366,21 +405,20 @@ def verify(entry: IdentityEntry, precision: float = 1e-12) -> float:
         )
         return abs(total - float(entry.target))
 
-    import mpmath
+    from mpmath import libmp
 
-    dps = max(30, int(math.ceil(-math.log10(precision))) + 15)
-    args = entry.arguments("mp", dps)
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for (coeff, _), arg in zip(entry.terms, args):
-            if not (-mpmath.mpf(10) ** (-dps + 5) <= arg <= 1 + mpmath.mpf(10) ** (-dps + 5)):
-                raise DomainError(
-                    f"argument of entry {entry.name!r} evaluates to {arg}, outside [0,1]"
-                )
-            arg = min(mpmath.mpf(1), max(mpmath.mpf(0), arg))
-            total += mpmath.mpf(coeff.numerator) / coeff.denominator * rogers_L_mp(arg, dps=dps)
-        target = mpmath.mpf(entry.target.numerator) / entry.target.denominator
-        return float(abs(total - target))
+    digits = max(30, int(math.ceil(-math.log10(precision))) + 15)
+    dps = digits + _GUARD_DPS
+    kept_dps, values = entry._kept_values
+    if kept_dps < dps:
+        values = _rogers_L_values(entry, dps)
+        object.__setattr__(entry, "_kept_values", (dps, values))
+    prec = libmp.dps_to_prec(digits)
+    total = -entry.target
+    for (coeff, _), value in zip(entry.terms, values):
+        rounded = libmp.mpf_pos(value._mpf_, prec, libmp.round_nearest)
+        total += coeff * Fraction(*libmp.to_rational(rounded))
+    return float(abs(total))
 
 
 @dataclass(frozen=True)
@@ -403,11 +441,15 @@ class CrossCheckResult:
 def cross_check_tba(entry: IdentityEntry, A: RationalSymmetricMatrix | None = None) -> CrossCheckResult:
     """Check an entry against the TBA solution of its matrix.
 
-    Uses entry.matrix when A is not given.  Only meaningful for entries
-    whose terms are unit-coefficient dilogarithms of the solution
-    coordinates.
+    Uses entry.matrix when A is not given, and then keeps the result on
+    the entry, so a later call returns it without solving again.  Only
+    meaningful for entries whose terms are unit-coefficient dilogarithms
+    of the solution coordinates.
     """
-    if A is None:
+    keep = A is None
+    if keep:
+        if entry._kept_cross is not None:
+            return entry._kept_cross
         A = entry.matrix
     if A is None:
         raise CatalogError(f"entry {entry.name!r} carries no matrix to cross-check")
@@ -420,4 +462,7 @@ def cross_check_tba(entry: IdentityEntry, A: RationalSymmetricMatrix | None = No
             f"entry {entry.name!r} has {len(args)} terms; expected {len(coords)} coordinates"
         )
     dist = max(abs(a - c) for a, c in zip(args, coords))
-    return CrossCheckResult(c_residual=c_res, coordinate_distance=dist)
+    result = CrossCheckResult(c_residual=c_res, coordinate_distance=dist)
+    if keep:
+        object.__setattr__(entry, "_kept_cross", result)
+    return result

@@ -343,10 +343,10 @@ def test_constant_conversions_are_pinned():
 _PINNED_VERIFY = {
     ("1e-12", False): "293e4aa7410ec7fcbec7218e0dc8f4e39da6dd35b6ebb2c76749897f52b58a7e",
     ("1e-12", True): "3d498765b0cfcebc44dc5469611ccbffc13332ceb1537ba56b82961854115bab",
-    ("1e-30", False): "d0ae35082d8f59e77efce7079ffcff58e65b9e748cab95b07b609843543a8a2a",
-    ("1e-30", True): "5435923b79b3442de0f9cf4a17be2e8b35f3e8dd13bff2c4e9fe6ab7be749c11",
-    ("1e-60", False): "7cf19b77f0492c75ca8f40c12af19bc56c9ea64e6d923e37bbe799779a004647",
-    ("1e-60", True): "97af9749c168e127d7e81d7ce7721a7ad82a2dcd7d73e6ad6e3edcdaf25d5856",
+    ("1e-30", False): "c35cdfc27da67ff3ff122f4e72559056d681d389b8b8d76335c697fec562cb02",
+    ("1e-30", True): "5b2fc00fa1c8619f5d341ba310572507c2289aa3c12fab4ab425e1b8343bd3e1",
+    ("1e-60", False): "8ded29c874a14eb53f179942dbefc28e07262cba7222a3abf8f88ad2d52b0438",
+    ("1e-60", True): "9f9ff27286c9b8ac7bbc1cc4611f6e324f67ffef3ba9bb3fb8adff8d145c3e3e",
 }
 
 

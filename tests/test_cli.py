@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dilogtba
-from dilogtba import cli
+from dilogtba import charges, cli
 from dilogtba.cli import parse_and_dispatch
 from dilogtba.search import EXAMPLE_CONFIGS, SearchConfig, report_json, run_search
 
@@ -419,6 +419,15 @@ def test_recognize_tolerance_from_environment(schema, monkeypatch):
     monkeypatch.delenv("DILOGTBA_TOL")
     doc = run_json(["recognize", off, "--max-den", "100", "--json"], schema)
     assert doc["matches"]["minimal"] is None
+
+
+def test_recognize_bounds_default_to_the_library_defaults(schema, monkeypatch):
+    # 4/7 = 1 - 6/14 needs max_st >= 14 and max_den >= 7
+    monkeypatch.setattr(charges.recognize, "__defaults__", (1e-9, 6, 60, 6))
+    doc = run_json(["recognize", "4/7", "--json"], schema)
+    assert (doc["matches"]["minimal"], doc["matches"]["rational"]) == (None, None)
+    doc = run_json(["recognize", "4/7", "--max-den", "7", "--json"], schema)
+    assert (doc["matches"]["minimal"], doc["matches"]["rational"]) == (None, "4/7")
 
 
 # ---------------------------------------------------------------------------

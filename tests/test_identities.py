@@ -7,9 +7,12 @@ matrix-carrying entries against the solved fixed-point coordinates.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from dilogtba import identities
+from dilogtba.algebraics import AlgebraicNumber
 from dilogtba.errors import CatalogError, DomainError
 from dilogtba.identities import (
     IdentityEntry,
@@ -269,6 +272,45 @@ def test_verify_rejects_argument_outside_unit_interval():
 
 
 # ---------------------------------------------------------------------------
+# values kept on the entry between verify calls
+
+def _fresh_catalog():
+    """The shipped catalog parsed anew: entries that keep nothing yet."""
+    return parse_catalog(serialize_catalog(load_catalog()))
+
+
+def _counting(fn_name="rogers_L_mp"):
+    return mock.patch.object(identities, fn_name, wraps=getattr(identities, fn_name))
+
+
+def test_kept_values_give_the_cold_residuals():
+    warm = load_catalog()
+    for entry in warm:
+        verify(entry, precision=1e-100)
+    for precision in (1e-14, 1e-20, 1e-30, 1e-45, 1e-60, 1e-100):
+        cold = [verify(entry, precision) for entry in _fresh_catalog()]
+        assert cold == [verify(entry, precision) for entry in warm], precision
+
+
+def test_coarser_verify_reuses_kept_values_and_finer_recomputes_once():
+    entries = _fresh_catalog()
+    n_terms = sum(len(entry.terms) for entry in entries)
+    for entry in entries:
+        verify(entry, precision=1e-60)
+    to_mpf = mock.patch.object(AlgebraicNumber, "to_mpf", autospec=True,
+                               side_effect=AlgebraicNumber.to_mpf)
+    with _counting() as L, to_mpf as conv:
+        for precision in (1e-60, 1e-45, 1e-30, 1e-14):
+            for entry in entries:
+                verify(entry, precision)
+        assert (L.call_count, conv.call_count) == (0, 0)
+        for _ in range(2):
+            for entry in entries:
+                verify(entry, precision=1e-80)
+        assert L.call_count == n_terms
+
+
+# ---------------------------------------------------------------------------
 # cross-checks against the fixed-point solver
 
 def test_eleven_entries_carry_matrices():
@@ -297,3 +339,15 @@ def test_cross_check_requires_a_matrix():
     entry = next(e for e in load_catalog() if e.matrix is None)
     with pytest.raises(CatalogError):
         cross_check_tba(entry)
+
+
+def test_cross_check_is_kept_on_the_entry():
+    warm = [e for e in load_catalog() if e.matrix is not None]
+    for entry in warm:
+        cross_check_tba(entry)
+    cold = [cross_check_tba(e) for e in _fresh_catalog() if e.matrix is not None]
+    with _counting("solve_r2") as solve:
+        assert [cross_check_tba(entry) for entry in warm] == cold
+        assert solve.call_count == 0
+        assert cross_check_tba(warm[0], A=warm[0].matrix) == cold[0]
+        assert solve.call_count == 1
