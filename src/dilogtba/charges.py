@@ -156,10 +156,13 @@ def recognize(
 
     Candidates come from the spectrum(max_st, max_n) values in
     [c - 2 tol, c + 2 tol]; the doubled window cannot miss a value
-    whose rounded error is within tol.
+    whose rounded error is within tol.  A non-finite c, or a tol that
+    is not positive and finite, raises ValueError.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
 
     table = spectrum(max_st, max_n)
     lo = bisect_left(table.values, c - 2.0 * tol)

@@ -42,6 +42,8 @@ _SIX_OVER_PI2 = 6.0 / (math.pi * math.pi)
 # Series term count is bounded: for x <= 1/2 the terms fall below 1e-20
 # after ~64 steps, so a fixed cap guards against float pathologies only.
 _MAX_TERMS = 256
+# n^2 as floats (exact), the series denominators
+_SQUARES = tuple(float(n * n) for n in range(1, _MAX_TERMS + 1))
 
 
 def _as_unit_float(x) -> float:
@@ -62,14 +64,15 @@ def rogers_L(x) -> float:
     if x > 0.5:
         return 1.0 - rogers_L(1.0 - x)
     terms = []
+    append = terms.append
     p = 1.0
-    for n in range(1, _MAX_TERMS + 1):
+    for square in _SQUARES:
         p *= x
-        t = p / (n * n)
-        terms.append(t)
+        t = p / square
+        append(t)
         if t < 1e-20:
             break
-    terms.append(0.5 * math.log(x) * math.log1p(-x))
+    append(0.5 * math.log(x) * math.log1p(-x))
     return _SIX_OVER_PI2 * math.fsum(terms)
 
 

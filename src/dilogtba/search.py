@@ -8,23 +8,26 @@ through a cheap-to-expensive pipeline:
        over one common denominator; only matrices in range are built)
     -> the singular a = d = -b != 0, whose equations force xy = 1,
        rejected exactly (tba.forces_xy_one; counted as pruned)
-    -> scan the grid for 16 matrices at a time (tba.prescan: one numpy
-       pass per block, results held only until each matrix is solved)
-    -> solve the TBA system one matrix at a time (the block's scan,
-       then bisection)
+    -> scan the grid for the matrices of each block of 16 that are not
+       positive semidefinite (tba.prescan: one numpy pass per block,
+       results held only until each matrix is solved)
+    -> solve the TBA system one matrix at a time: Newton on the convex
+       Nahm potential for a positive semidefinite matrix (no grid), else
+       the block's scan, then Newton-split bisection of each bracket
     -> recognize c against minimal / parafermionic / rational spectra
     -> for kept candidates only: classification of c vs 1, the
        uniqueness guarantee and, for d > 0, the two-sided bounds on c
        (exact, recorded)
 
 Acceptance is the one predicate of the recognition: a match in any of
-the three spectra.  Matrices whose scan finds several interior solutions
-go to a separate "nonunique" section (all solutions listed) instead of
-the admissible list when require_uniqueness is set.  Solver failures
-are recorded per matrix, never fatal.  Candidates whose best match residual exceeds
-1e-9 are re-solved on a finer grid before acceptance and flagged
-suspect.  Results are deterministic and ordered by (largest entry
-denominator, a, d, b).
+the three spectra.  Matrices with several interior solutions (only
+scanned ones can have them) go to a separate "nonunique" section (all
+solutions listed) instead of the admissible list when
+require_uniqueness is set.  Solver failures are recorded per matrix,
+never fatal.  Candidates whose best match residual exceeds 1e-9 are
+re-solved on a finer grid before acceptance and flagged suspect.
+Results are deterministic and ordered by (largest entry denominator,
+a, d, b).
 
 dedupe_by_duality collapses pairs (A, (1/4) A^{-1}) that are both
 present to the representative with c <= 1, recording the partner and
@@ -35,9 +38,11 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .analysis import (
     BoundsResult,
@@ -100,6 +105,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_numerator < 1 or self.max_denominator < 1:
             raise ValueError("max_numerator and max_denominator must be positive")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 1e-10:
             raise ValueError(f"tolerance {self.tolerance} is below the solver floor 1e-10")
         if self.grid_n < 1001:
@@ -113,18 +120,19 @@ class SearchConfig:
         if pairs > _MAX_FRACTIONS:
             raise ValueError(f"(max_numerator + 1) * max_denominator = {pairs} "
                              f"is above {_MAX_FRACTIONS}")
-        vals = set()
-        for q in range(1, self.max_denominator + 1):
-            for p in range(0, self.max_numerator + 1):
-                v = Fraction(p, q)
-                if self.entry_min is not None and v < self.entry_min:
-                    continue
-                if self.entry_max is not None and v > self.entry_max:
-                    continue
-                vals.add(v)
+        # each value once, as p/q in lowest terms, bounds tested on integers
+        lo, hi = self.entry_min, self.entry_max
+        vals = [(p, q) for q in range(1, self.max_denominator + 1)
+                for p in range(0, self.max_numerator + 1)
+                if math.gcd(p, q) == 1
+                and (lo is None or p * lo.denominator >= lo.numerator * q)
+                and (hi is None or p * hi.denominator <= hi.numerator * q)]
         if len(vals) > _MAX_ENTRY_VALUES:
             raise ValueError(f"{len(vals)} entry values are above the cap of {_MAX_ENTRY_VALUES}")
-        object.__setattr__(self, "_values", sorted(vals))
+        # two values with denominators up to 10^4 differ by at least 10^-8,
+        # far above their rounding, so the floats sort them exactly
+        vals.sort(key=lambda pq: pq[0] / pq[1])
+        object.__setattr__(self, "_values", [Fraction(p, q) for p, q in vals])
 
     def entry_values(self) -> list[Fraction]:
         """Nonnegative entry values within the bounds, ascending."""
@@ -187,23 +195,23 @@ def _entries(cfg: SearchConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
     m = math.lcm(*(v.denominator for v in values + fixed))
 
     def scaled(vs):
-        return [(v, v.numerator * (m // v.denominator)) for v in vs]
+        return [(v, v.numerator * (m // v.denominator), v.denominator) for v in vs]
 
     a_values = scaled(values)
     d_values = scaled(fixed) if fixed else a_values
-    b_values = scaled(sorted(set(values) | {-v for v in values}))
-    b_nums = [n for _, n in b_values]
+    # b takes the values and their negatives, ordered by numerator
+    b_values = sorted(a_values + [(-v, -n, q) for v, n, q in a_values if n], key=itemgetter(1))
+    b_nums = [n for _, n, _ in b_values]
 
     keyed = []
-    for a, an in a_values:
-        for d, dn in [(a, an)] if cfg.a_eq_d else d_values:
+    for a, an, aq in a_values:
+        for d, dn, dq in [(a, an, aq)] if cfg.a_eq_d else d_values:
             if not 0 <= dn <= an:
                 continue  # d < 0, or not in the canonical orientation a >= d
-            for b, bn in b_values[bisect_left(b_nums, -dn):]:
+            for b, bn, bq in b_values[bisect_left(b_nums, -dn):]:
                 if an == dn == 0 and 2 * bn == m:
                     continue  # a = d = 0, b = 1/2: a continuum, not a discrete system
-                key = (max(a.denominator, b.denominator, d.denominator), an, dn, bn)
-                keyed.append((key, a, b, d))
+                keyed.append(((max(aq, bq, dq), an, dn, bn), a, b, d))
     keyed.sort()
     return [(a, b, d) for _, a, b, d in keyed]
 
@@ -418,10 +426,87 @@ def _report_doc(report: SearchReport, tol: float):
     }
 
 
+class _Unhandled(Exception):
+    """A value _write leaves to json.dumps."""
+
+
+def _finite(v: float) -> str:
+    if not math.isfinite(v):
+        raise _Unhandled
+    return float.__repr__(v)
+
+
+# how json.dumps writes each scalar type; a subclass is not listed
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _write(o, indent: str, append) -> None:
+    """Append o's text, as json.dumps(indent=2, sort_keys=True) writes it,
+    nested at indent (a newline and spaces).  Handles the scalars of
+    _SCALARS, lists and str-keyed dicts; anything else raises _Unhandled."""
+    if type(o) is dict:
+        if not o:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep, head = "," + inner, "{" + inner
+        for k in sorted(o):
+            if type(k) is not str:
+                raise _Unhandled
+            v = o[k]
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None:
+                append(head + encode_basestring_ascii(k) + ": " + scalar(v))
+            else:
+                append(head + encode_basestring_ascii(k) + ": ")
+                _write(v, inner, append)
+            head = sep
+        append(indent + "}")
+    elif type(o) is list:
+        if not o:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep, head = "," + inner, "[" + inner
+        for v in o:
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None:
+                append(head + scalar(v))
+            else:
+                append(head)
+                _write(v, inner, append)
+            head = sep
+        append(indent + "]")
+    else:
+        scalar = _SCALARS.get(type(o))
+        if scalar is None:
+            raise _Unhandled
+        append(scalar(o))
+
+
 def _json_text(doc) -> str:
     """The one JSON serializer of the package: indented, sorted keys,
-    finite numbers only (NaN or infinity raises ValueError)."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    finite numbers only (NaN or infinity raises ValueError).
+
+    The text is json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n" byte for byte.  _write builds it for the
+    types the documents hold, about twice as fast; any other value
+    (a non-finite float included) goes to json.dumps itself.
+    """
+    out: list[str] = []
+    try:
+        _write(doc, "\n", out.append)
+    except (_Unhandled, TypeError, RecursionError):
+        # TypeError: sorting keys of mixed types
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def report_json(report: SearchReport, tol: float = 1e-9) -> str:

@@ -13,14 +13,24 @@ For b != 0, eliminating x gives the one-variable equation f(y) = 1 with
 
     f(y) = y^(1/(2b)) (1-y)^(-d/b) + y^(a/b) (1-y)^(-2D/b),   D = ad - b^2,
 
-where the first term equals 1-x and the second equals x.  The solver
-finds every sign change of f - 1 on a dense grid of (0,1) and bisects
-each bracket, which also counts the solution multiplicity.  One kernel
-evaluates the two terms for the grid scan (numpy, in place), the
-bisection, the recovery of x and reduced_f (math, with exp saturating
-to inf as np.exp does); the four exponents are computed once per
-solve, each by one integer division from the entries over their common
-denominator.
+where the first term equals 1-x and the second equals x.
+
+A positive semidefinite system (a, d > 0 with ad > b^2, or ad = b^2 with
+b > 0; decided exactly) has exactly one solution: in w_i = log(1 - x_i)
+the equations are the critical points of the strictly convex Nahm
+potential V(w) = 1/2 w^T (2A) w + Li2(e^w1) + Li2(e^w2) (Zagier, "The
+Dilogarithm Function", 2007, Part II), and damped Newton on V finds it
+with no grid (_newton).  A Newton result whose residual exceeds 1e-13,
+or a run that reaches the iteration cap, falls back to the scan.
+
+Every other system is scanned: the solver finds every sign change of
+f - 1 on a dense grid of (0,1) and refines each bracket by Newton-split
+bisection (_bisect_root), which also counts the solution multiplicity.
+One kernel evaluates the two terms for the grid scan (numpy, in place),
+the refinement, the recovery of x and reduced_f (math, with exp
+saturating to inf as np.exp does); the four exponents are computed once
+per solve, each by one integer division from the entries over their
+common denominator.
 
 The scan has two levels.  A coarse pass evaluates every 64th grid
 point.  Each term y^p (1-y)^q is monotone between two coarse points
@@ -39,8 +49,9 @@ the results, keyed by exponents and grid size, until solve_r2 takes
 them or the next prescan replaces them; the search prescans its
 matrices a block at a time, paying numpy's fixed cost per call once per
 block.  numpy is imported on first use, inside _coarse_grid, _scan_block
-and _exp_in_place, so a process that never scans does not load it.  For
-b = 0 the system decouples into two r=1 problems.
+and _exp_in_place, so a process that solves only positive semidefinite
+or b = 0 systems does not load it.  For b = 0 the system decouples into
+two r=1 problems.
 Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
 (resp. a = 0) with b > 0; they are reported separately from interior
 solutions and are only promoted to principal when no interior solution
@@ -166,7 +177,8 @@ class TbaSolution:
     x, y          principal solution (y is None for r=1)
     c             L(x) + L(y) (or L(x) for r=1) at the principal solution
     residual      max absolute defect of the defining equations there
-    multiplicity  number of distinct interior solutions found by the scan
+    multiplicity  number of distinct interior solutions found (1 for a
+                  positive semidefinite system, by convexity)
     boundary_flag True when a boundary solution, (0,1) for d = 0 or
                   (1,0) for a = 0, coexists with an interior one and
                   0 < b < 1/2
@@ -432,15 +444,15 @@ def prescan(matrices, grid_n: int) -> None:
     The results replace those of the previous call and wait for
     solve_r2(A, grid_n) to take them, so solving a block of matrices
     one by one costs one numpy pass instead of one per matrix.  Matrices
-    with b = 0, the a = d = 0, b = 1/2 continuum, the singular
-    a = d = -b and those whose exponents overflow are skipped, as
-    solve_r2 never scans them.  Each result is a function of the
+    with b = 0, the positive semidefinite ones (solved by Newton), the
+    a = d = 0, b = 1/2 continuum, the singular a = d = -b and those
+    whose exponents overflow are skipped.  Each result is a function of the
     exponents and grid_n alone, so the solutions do not change.
     """
     _PRESCANNED.clear()
     ps = []
     for A in matrices:
-        if A.b != 0:
+        if A.b != 0 and not _convex(A):
             try:
                 ps.append(_scanned_exponents(A))
             except (DomainError, ScanFailure):
@@ -458,24 +470,61 @@ def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
             return 1.0 if e == 0.0 else 0.0
         return base ** e
 
-    r1 = abs(x - powf(1.0 - x, 2.0 * a) * powf(1.0 - y, 2.0 * b))
-    r2 = abs(y - powf(1.0 - x, 2.0 * b) * powf(1.0 - y, 2.0 * d))
+    def product(u: float, e: float, v: float, f: float) -> float:
+        # u^e v^f; a factor alone can overflow (e or f < 0) where the
+        # product does not, and then both bases are positive
+        try:
+            return powf(u, e) * powf(v, f)
+        except OverflowError:
+            return _exp(e * math.log(u) + f * math.log(v))
+
+    r1 = abs(x - product(1.0 - x, 2.0 * a, 1.0 - y, 2.0 * b))
+    r2 = abs(y - product(1.0 - x, 2.0 * b, 1.0 - y, 2.0 * d))
     return max(r1, r2)
 
 
+# A split keeps a relative 2^-52 (one or two ulps) from the bracket's
+# ends, and a bracket narrower than twice that has closed.
+_NUDGE = 2.0**-52
+
+
 def _bisect_root(p, lo: float, hi: float, glo: float, tol: float) -> float:
+    """A root of g = f - 1 in the bracket (lo, hi), g(lo) having glo's sign.
+
+    Each step splits the bracket at the Newton point of g from the
+    current point, with g' = t0 (p0/y - p1/(1-y)) + t1 (p2/y - p3/(1-y))
+    from the two terms t0, t1 of f there.  It takes the midpoint instead
+    when that point leaves the open bracket or is not at least twice as
+    close as the step before, so a term that changes by orders of
+    magnitude across the bracket cannot stall it.  A split within a few
+    ulps of an end moves to a few ulps from it, so once Newton has
+    converged the next split lands beyond the root and the bracket
+    closes around it.  It stops at an exact zero, or at the midpoint of
+    a bracket narrower than both tol and a few ulps (or one no float
+    splits): a Newton split can close the bracket unevenly, and a
+    midpoint merely within tol could lie tol/2 from the root.
+    """
+    y = 0.5 * (lo + hi)
+    last = hi - lo
     for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or hi - lo < tol:
+        if not lo < y < hi or hi - lo < min(tol, 2.0 * _NUDGE * hi):
             break
-        one_minus_x, x = _terms(p, math.log(mid), math.log1p(-mid), _exp)
-        g = one_minus_x + x - 1.0
+        t0, t1 = _terms(p, math.log(y), math.log1p(-y), _exp)
+        g = t0 + t1 - 1.0
         if g == 0.0:
-            return mid
+            return y
         if (g < 0.0) == (glo < 0.0):
-            lo = mid
+            lo = y
         else:
-            hi = mid
+            hi = y
+        dg = t0 * (p[0] / y - p[1] / (1.0 - y)) + t1 * (p[2] / y - p[3] / (1.0 - y))
+        split = y - g / dg if dg else y
+        if lo < split < hi and abs(split - y) <= 0.5 * last:
+            last = abs(split - y)
+        else:
+            split = 0.5 * (lo + hi)
+            last = 0.5 * (hi - lo)
+        y = min(max(split, lo + _NUDGE * lo), hi - _NUDGE * hi)
     return 0.5 * (lo + hi)
 
 
@@ -495,6 +544,91 @@ def _scanned_exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float,
     return _exponents(A)
 
 
+def _convex(A: RationalSymmetricMatrix) -> bool:
+    """b != 0, a, d > 0 and ad > b^2 (or ad = b^2 with b > 0), exactly.
+
+    Then the solutions are the critical points of a strictly convex
+    potential with a minimiser in the open negative quadrant (see _newton).
+    """
+    a, b, d, _ = A.integers
+    return b != 0 and a > 0 and d > 0 and (a * d > b * b or (a * d == b * b and b > 0))
+
+
+# Newton iterations before _newton gives up and solve_r2 scans instead
+_NEWTON_CAP = 100
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def _start(t: Fraction, bt: float) -> float:
+    """log(1 - kappa(t)), the decoupled solution for a diagonal entry t
+    with bt = 2t; when kappa(t) rounds to 1, the leading term
+    log(bt log(1/bt)) of 1 - kappa = bt log(1/(1 - kappa))."""
+    k = kappa(t)
+    if k < 1.0:
+        return math.log1p(-k)
+    bt = max(bt, math.ulp(0.0))
+    return math.log(bt) + math.log(-math.log(bt))
+
+
+def _newton(A: RationalSymmetricMatrix) -> tuple[float, float, float] | None:
+    """The solution (x, y) of a _convex system and its residual, or None
+    when Newton fails.
+
+    In w_i = log(1 - x_i) < 0 the equations are the critical points of
+    V(w) = 1/2 w^T (2A) w + Li2(e^w1) + Li2(e^w2), with gradient
+    2A w - log(1 - e^w) and Hessian 2A + diag((1 - x)/x), which is
+    positive definite where 2A is positive semidefinite.  V has a
+    minimiser: for D > 0 it grows quadratically on the negative quadrant,
+    for D = 0 with b > 0 the null direction (b, -a) of 2A leaves it, and
+    dV/dw_i -> +inf as w_i -> 0-.  Damped Newton starts at the decoupled
+    point w_i = log(1 - kappa(a_ii)), halves a step until w stays below 0,
+    and stops at the rounding floor: a full step below 1e-8 relative
+    that is no longer half the one before.  The result is returned only
+    if its residual is at most 1e-13.  An entry too large for a float
+    raises DomainError.
+    """
+    a, b, d, m = A.integers
+    try:
+        b11, b12, b22 = 2 * a / m, 2 * b / m, 2 * d / m
+    except OverflowError:
+        raise DomainError(f"an entry of {A} overflows a float") from None
+    try:
+        det = 4 * (a * d - b * b) / (m * m)  # det 2A, exactly rounded
+    except OverflowError:
+        return None
+    w1, w2 = _start(A.a, b11), _start(A.d, b22)
+    last = math.inf
+    for _ in range(_NEWTON_CAP):
+        e1, e2 = math.exp(w1), math.exp(w2)
+        x1, x2 = -math.expm1(w1), -math.expm1(w2)
+        # log x = log(1 - e^w), accurate also where x rounds to 1
+        g1 = b11 * w1 + b12 * w2 - (math.log1p(-e1) if e1 < 0.5 else math.log(x1))
+        g2 = b12 * w1 + b22 * w2 - (math.log1p(-e2) if e2 < 0.5 else math.log(x2))
+        h1, h2 = e1 / x1, e2 / x2
+        # the Hessian's determinant, free of cancellation when det = 0;
+        # it is 0 only where both e^w underflow
+        hdet = det + b11 * h2 + b22 * h1 + h1 * h2
+        if not hdet > 0.0:
+            return None
+        s1 = (b12 * g2 - (b22 + h2) * g1) / hdet
+        s2 = (b12 * g1 - (b11 + h1) * g2) / hdet
+        size = max(abs(s1 / w1), abs(s2 / w2))
+        if not size < math.inf:
+            return None
+        if size < 1e-8 and (size == 0.0 or size > 0.5 * last):
+            # an x within 2^-54 of 1 rounds to 1, which is not interior
+            x, y = min(x1, _BELOW_ONE), min(x2, _BELOW_ONE)
+            residual = _residuals(A, x, y)
+            return (x, y, residual) if residual <= 1e-13 else None
+        last = size
+        t = 1.0
+        while w1 + t * s1 >= 0.0 or w2 + t * s2 >= 0.0:
+            t *= 0.5
+        w1 += t * s1
+        w2 += t * s2
+    return None
+
+
 def solve_r2(
     A: RationalSymmetricMatrix,
     grid_n: int = 100_000,
@@ -503,28 +637,39 @@ def solve_r2(
 ) -> TbaSolution:
     """Solve the r=2 system, reporting all interior solutions found.
 
-    The scan finds every exact zero and sign change of the reduced
-    equation on the uniform grid y_k = (k+1)/(grid_n+1), k < grid_n,
-    and bisects every sign change to width tol; x is recovered from the
-    second reduced term.  It evaluates every 64th grid point, then only
-    the cells between them that can hold a sign change: a cell is
-    skipped when both terms are monotone on it (their critical points
-    lie elsewhere) and the sums of their end values clear 1 by a
-    relative 1e-9, far above the rounding error; exponents so large that
-    the rounding error could reach the margin (e.g. b = 1/10^33) refine
-    every cell.  The result is bit-identical to evaluating all grid_n
-    points.  When A was in the last block passed to prescan(..., grid_n),
-    the solve takes that block's scan of A instead of scanning again; the
-    scan is the same either way.  The principal solution is
-    the interior one with smallest y; boundary solutions are listed
-    separately and promoted to principal only when nothing interior
-    exists.  Raises RangeViolation outside the admissible entry range
-    and ScanFailure when no solution is found, before the scan for
-    a = d = 0, b = 1/2 (a continuum) and a = d = -b != 0 (xy = 1).
+    A positive semidefinite system (a, d > 0 with ad > b^2, or ad = b^2
+    with b > 0, decided exactly on the entries) is solved by damped
+    Newton on its convex Nahm potential: its one solution has
+    multiplicity 1 by convexity, and grid_n does not affect it.  Newton
+    falls back to the scan below when its residual exceeds 1e-13 or it
+    reaches its iteration cap.  b = 0 decouples into kappa(a), kappa(d).
+
+    Every other system is scanned: the scan finds every exact zero and
+    sign change of the reduced equation on the uniform grid
+    y_k = (k+1)/(grid_n+1), k < grid_n, and refines every sign change by
+    Newton-split bisection to a bracket narrower than tol and a few
+    ulps; x is recovered from the second reduced term.  It evaluates
+    every 64th grid point, then only the cells between them that can
+    hold a sign change: a cell is skipped when both terms are monotone
+    on it (their critical points lie elsewhere) and the sums of their
+    end values clear 1 by a relative 1e-9, far above the rounding error;
+    exponents so large that the rounding error could reach the margin
+    (e.g. b = 1/10^33) refine every cell.  The brackets are
+    bit-identical to those of evaluating all grid_n points.  When A was
+    in the last block passed to prescan(..., grid_n), the solve takes
+    that block's scan of A instead of scanning again; the scan is the
+    same either way.  The principal solution is the interior one with
+    smallest y; boundary solutions are listed separately and promoted
+    to principal only when nothing interior exists.  Raises
+    RangeViolation outside the admissible entry range, DomainError when
+    an entry or an exponent overflows a float, and ScanFailure when no
+    solution is found, before the scan for a = d = 0, b = 1/2 (a
+    continuum) and a = d = -b != 0 (xy = 1).  grid_n must be at least
+    1001 for every system.
 
     The entry range is neither sufficient nor necessary for a solution:
     some continuous families (for example b = 1/2 - sqrt(ad) with large
-    ad) leave it yet still solve.  Pass enforce_range=False to scan
+    ad) leave it yet still solve.  Pass enforce_range=False to solve
     such matrices anyway; outside the range nothing is guaranteed and
     ScanFailure simply means the grid found no sign change.
     """
@@ -535,8 +680,12 @@ def solve_r2(
     a, b, d, m = A.integers
     interior: list[tuple[float, float]] = []
     boundary: list[tuple[float, float]] = []
+    residual = None
     if b == 0:
         interior.append((kappa(A.a), kappa(A.d)))
+    elif _convex(A) and (root := _newton(A)):
+        x, y, residual = root
+        interior.append((x, y))
     else:
         p = _scanned_exponents(A)
         if d == 0 and b > 0:
@@ -558,7 +707,7 @@ def solve_r2(
     px, py = (interior or boundary)[0]
     return TbaSolution(
         x=px, y=py, c=rogers_L(px) + rogers_L(py),
-        residual=_residuals(A, px, py),
+        residual=_residuals(A, px, py) if residual is None else residual,
         multiplicity=len(interior) or 1,
         boundary_flag=bool(interior and boundary) and 2 * b < m,
         interior=tuple(interior), boundary=tuple(boundary),

@@ -105,6 +105,19 @@ def test_empty_match():
     assert m.ranked() == []
 
 
+@pytest.mark.parametrize("value, tol", [(0.8, math.nan), (0.8, math.inf), (0.8, -math.inf)])
+def test_non_finite_tolerance_is_rejected(value, tol):
+    # a NaN tol compared false everywhere, so every match came back empty
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        recognize(value, tol=tol)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_is_rejected_naming_c(value):
+    with pytest.raises(ValueError, match="c must be finite"):
+        recognize(value)
+
+
 def test_no_false_positives():
     # scaled square roots folded into [0, 2): never recognized at tight
     # tolerance and moderate denominator bounds

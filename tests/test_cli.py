@@ -269,11 +269,11 @@ def test_failed_requests_leave_the_parser_intact():
 
 
 @pytest.mark.parametrize("argv, error", [
-    # a/b = 10^400 (and 2D/b = 2 10^600 in the solve of A) is no float
+    # the entry 10^400 of a positive definite A is no float
     pytest.param(["solve", "-A", "1e400", "1", "1"], "DomainError", id="argv0"),
-    # exponents of order 10^33: the kernel saturates and finds no root
-    pytest.param(["solve", "-A", "1", "1/1000000000000000000000000000000000", "1"],
-                 "ScanFailure", id="argv1"),
+    # D < 0 and exponents of order 10^33: the kernel saturates and finds
+    # no root
+    pytest.param(["solve", "-A", f"1/{10**67}", f"1/{10**33}", "1"], "ScanFailure", id="argv1"),
     pytest.param(["dual", "-A", "1e300", "1", "1e300"], "DomainError", id="argv2"),
     # b = 0 decouples into kappa(10^400), and rank 1 is kappa alone
     pytest.param(["solve", "-A", "1e400", "0", "1"], "DomainError", id="argv3"),
@@ -792,7 +792,9 @@ def test_cli_import_loads_every_module_but_neither_numpy_nor_mpmath():
     (["bounds", "-A", "2", "1", "1"], False, False),
     (["classify", "-A", "2", "1", "1"], False, False),
     (["verify-identities", "--precision", "1e-12"], False, False),
-    (["solve", "-A", "2", "1", "1"], True, False),
+    # a positive definite solve is Newton's; a D < 0 one scans with numpy
+    (["solve", "-A", "2", "1", "1"], False, False),
+    (["solve", "-A", "1/20", "19/20", "1/20"], True, False),
     (["search", "--max-num", "2", "--max-den-entries", "1"], True, False),
     (["verify-identities", "--precision", "1e-30"], False, True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)

@@ -30,7 +30,8 @@ def test_demo_runs(demo, tmp_path):
 
 
 # stdout of algebraic_numbers_and_closed_forms.py, recorded when the
-# named constants were still isolated at import time
+# named constants were still isolated at import time; the solver lines
+# were re-recorded when (5/4 1; 1 1), positive definite, moved to Newton
 _ALGEBRAIC_DEMO_OUTPUT = (
     'polynomial -1 + 1*t^1 + 1*t^2\n'
     '  real roots: 2\n'
@@ -56,8 +57,8 @@ _ALGEBRAIC_DEMO_OUTPUT = (
     '  u_plus     0.884829012582553  -1 + -3*t^1 + 3*t^2 + 1*t^3 + 1*t^4\n'
     '\n'
     'closed form vs solver for (5/4 1; 1 1)\n'
-    '  x: solver 0.248726410423964   closed 0.248726410423967   diff 3.4e-15\n'
-    '  y: solver 0.286960976367903   closed 0.286960976367906   diff 2.6e-15\n'
+    '  x: solver 0.248726410423967   closed 0.248726410423967   diff 1.1e-16\n'
+    '  y: solver 0.286960976367906   closed 0.286960976367906   diff 0.0e+00\n'
 )
 
 

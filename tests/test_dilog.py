@@ -187,3 +187,28 @@ def test_mp_exact_endpoints_and_domain():
     for bad in (-1, Fraction(11, 10), 1.5, float("nan"), float("inf"), mpmath.mpf("nan")):
         with pytest.raises(DomainError):
             rogers_L_mp(bad, dps=30)
+
+
+def _series_L(x):
+    """rogers_L's series, one term at a time, as first written."""
+    if x in (0.0, 1.0):
+        return x
+    if x > 0.5:
+        return 1.0 - _series_L(1.0 - x)
+    terms, p = [], 1.0
+    for n in range(1, 257):
+        p *= x
+        terms.append(p / (n * n))
+        if terms[-1] < 1e-20:
+            break
+    terms.append(0.5 * math.log(x) * math.log1p(-x))
+    return 6.0 / (math.pi * math.pi) * math.fsum(terms)
+
+
+def test_rogers_L_is_bit_identical_to_the_plain_series():
+    rng = random.Random(5)
+    xs = [rng.random() for _ in range(20_000)]
+    xs += [rng.random() * 10.0 ** -rng.randint(1, 300) for _ in range(2_000)]
+    xs += [1.0 - rng.random() * 10.0 ** -rng.randint(1, 16) for _ in range(2_000)]
+    xs += [0.0, 1.0, 0.5, 0.25, 5e-324, 0.5 - 2.0**-54]
+    assert all(rogers_L(x) == _series_L(x) for x in xs)

@@ -279,13 +279,15 @@ def test_grid_n_validation():
 
 
 def test_overflowing_inputs_end_in_package_errors():
-    # b = 10^-33 puts exponents of order 10^33 in f: the point kernel
-    # saturates to inf as the grid scan does, and no root is left
-    tiny_b = M(1, F(1, 10**33), 1)
+    # b = 10^-33 with D < 0 puts exponents of order 10^33 in f: the point
+    # kernel saturates to inf as the grid scan does, and no root is left
+    tiny_b = M(F(1, 10**67), F(1, 10**33), 1)
+    assert tiny_b.D < 0
     assert reduced_f(tiny_b, 0.5) == math.inf
     with pytest.raises(ScanFailure):
         solve_r2(tiny_b)
-    # a/b = 10^400 is no float at all
+    # an entry of 10^400 is no float at all (a positive definite matrix,
+    # so the Newton path reads the entries)
     with pytest.raises(DomainError, match="overflows a float"):
         solve_r2(M(10**400, 1, 1))
     # b = 0 takes kappa(a) straight from the entry, which is no float either
@@ -324,78 +326,81 @@ def test_residuals_both_equations():
             assert abs(reduced_f(A, y) - 1.0) <= 1e-14, (entries, x, y)
 
 
-# float.hex of every solution, recorded before the grid scan evaluated
-# the kernel in place; a scan or bisection change that moves a root by
-# one ulp fails here.  Rows: entries, grid_n, multiplicity, c, interior
-# (x, y) ascending in y, boundary.  The first two have three roots and
-# an interior root beside the boundary (0, 1); (1 -1/2; -1/2 1),
+# float.hex of every solution, recorded when positive semidefinite
+# systems moved to Newton on the convex potential and scan brackets to
+# Newton-split bisection; a solver change that moves a root by one ulp
+# fails here.  Rows: entries, grid_n, multiplicity, c, interior (x, y)
+# ascending in y, boundary.  The first two have three roots and an
+# interior root beside the boundary (0, 1); (1 -1/2; -1/2 1),
 # (4 -3/2; -3/2 2) and (1 -1/20; -1/20 40) have b < 0; both terms of
 # (1 1/10; 1/10 10) and (1/2 1/20; 1/20 20) overflow near y = 1; the
-# last has only the boundary solution.
+# last has only the boundary solution.  Rows from (1 -1/2; -1/2 1) to
+# (1/2 1/20; 1/20 20) are positive definite, so both grids give the
+# same Newton solve.
 _RECORDED_SOLUTIONS = [
-    (("1/20", "19/20", "1/20"), 20_001, 3, "0x1.a58743dd955a0p-1", [
-        ("0x1.86a3820659dfcp-1", "0x1.080051164f3fep-4"),
-        ("0x1.8722191a02d82p-2", "0x1.8722191a02d44p-2"),
-        ("0x1.080051164f354p-4", "0x1.86a3820659e12p-1"),
+    (("1/20", "19/20", "1/20"), 20_001, 3, "0x1.a58743dd95598p-1", [
+        ("0x1.86a3820659e0ep-1", "0x1.080051164f363p-4"),
+        ("0x1.8722191a02d64p-2", "0x1.8722191a02d5fp-2"),
+        ("0x1.080051164f358p-4", "0x1.86a3820659e11p-1"),
     ], []),
-    (("1/20", "19/20", "1/20"), 100_000, 3, "0x1.a58743dd9558ep-1", [
-        ("0x1.86a3820659e26p-1", "0x1.080051164f28ep-4"),
-        ("0x1.8722191a02da5p-2", "0x1.8722191a02d24p-2"),
-        ("0x1.080051164f344p-4", "0x1.86a3820659e16p-1"),
+    (("1/20", "19/20", "1/20"), 100_000, 3, "0x1.a58743dd95599p-1", [
+        ("0x1.86a3820659e0fp-1", "0x1.080051164f35ep-4"),
+        ("0x1.8722191a02d5ep-2", "0x1.8722191a02d64p-2"),
+        ("0x1.080051164f35cp-4", "0x1.86a3820659e10p-1"),
     ], []),
-    (("1/4", "1/4", "0"), 20_001, 1, "0x1.2492492492492p+0", [
-        ("0x1.6d761c42b2c44p-2", "0x1.9a9795396b8dep-1"),
+    (("1/4", "1/4", "0"), 20_001, 1, "0x1.2492492492493p+0", [
+        ("0x1.6d761c42b2c41p-2", "0x1.9a9795396b8e2p-1"),
     ], [(0.0, 1.0)]),
-    (("1/4", "1/4", "0"), 100_000, 1, "0x1.249249249248ap+0", [
-        ("0x1.6d761c42b2c5ep-2", "0x1.9a9795396b8c2p-1"),
+    (("1/4", "1/4", "0"), 100_000, 1, "0x1.2492492492493p+0", [
+        ("0x1.6d761c42b2c41p-2", "0x1.9a9795396b8e2p-1"),
     ], [(0.0, 1.0)]),
     (("1", "-1/2", "1"), 20_001, 1, "0x1.0000000000000p+0", [
-        ("0x1.0000000000001p-1", "0x1.0000000000000p-1"),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
     ], []),
     (("1", "-1/2", "1"), 100_000, 1, "0x1.0000000000000p+0", [
-        ("0x1.0000000000001p-1", "0x1.0000000000000p-1"),
+        ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
     ], []),
-    (("4", "-3/2", "2"), 20_001, 1, "0x1.727cfd98c6aa5p-1", [
-        ("0x1.2706007dbb313p-2", "0x1.8d8dacd343c4ep-2"),
+    (("4", "-3/2", "2"), 20_001, 1, "0x1.727cfd98c6accp-1", [
+        ("0x1.2706007dbb37cp-2", "0x1.8d8dacd343c3bp-2"),
     ], []),
-    (("4", "-3/2", "2"), 100_000, 1, "0x1.727cfd98c6af4p-1", [
-        ("0x1.2706007dbb3e7p-2", "0x1.8d8dacd343c28p-2"),
+    (("4", "-3/2", "2"), 100_000, 1, "0x1.727cfd98c6accp-1", [
+        ("0x1.2706007dbb37cp-2", "0x1.8d8dacd343c3bp-2"),
     ], []),
-    (("1", "-1/20", "40"), 20_001, 1, "0x1.dc48529812ee6p-2", [
-        ("0x1.87d8f903cdca4p-2", "0x1.47c838d5aea6cp-5"),
+    (("1", "-1/20", "40"), 20_001, 1, "0x1.dc48529813aa6p-2", [
+        ("0x1.87d8f903cea64p-2", "0x1.47c838d5aea4ap-5"),
     ], []),
-    (("1", "-1/20", "40"), 100_000, 1, "0x1.dc4852981ee31p-2", [
-        ("0x1.87d8f903dbc80p-2", "0x1.47c838d5ae842p-5"),
+    (("1", "-1/20", "40"), 100_000, 1, "0x1.dc48529813aa6p-2", [
+        ("0x1.87d8f903cea64p-2", "0x1.47c838d5aea4ap-5"),
     ], []),
-    (("2", "1", "1"), 20_001, 1, "0x1.2492492492471p-1", [
-        ("0x1.95a1ab1a51c1bp-3", "0x1.3b5eb92ce031ep-2"),
+    (("2", "1", "1"), 20_001, 1, "0x1.2492492492492p-1", [
+        ("0x1.95a1ab1a51c7ap-3", "0x1.3b5eb92ce0338p-2"),
     ], []),
-    (("2", "1", "1"), 100_000, 1, "0x1.2492492492498p-1", [
-        ("0x1.95a1ab1a51c88p-3", "0x1.3b5eb92ce033cp-2"),
+    (("2", "1", "1"), 100_000, 1, "0x1.2492492492492p-1", [
+        ("0x1.95a1ab1a51c7ap-3", "0x1.3b5eb92ce0338p-2"),
     ], []),
-    (("1", "1/2", "1/2"), 20_001, 1, "0x1.7ffffffffffdap-1", [
-        ("0x1.2bec33301882ep-2", "0x1.a827999fcef14p-2"),
+    (("1", "1/2", "1/2"), 20_001, 1, "0x1.8000000000000p-1", [
+        ("0x1.2bec333018867p-2", "0x1.a827999fcef32p-2"),
     ], []),
-    (("1", "1/2", "1/2"), 100_000, 1, "0x1.8000000000004p-1", [
-        ("0x1.2bec33301886ep-2", "0x1.a827999fcef36p-2"),
+    (("1", "1/2", "1/2"), 100_000, 1, "0x1.8000000000000p-1", [
+        ("0x1.2bec333018867p-2", "0x1.a827999fcef32p-2"),
     ], []),
-    (("4/3", "1/6", "1/3"), 20_001, 1, "0x1.b6db6db6db776p-1", [
-        ("0x1.32f92d684bb70p-2", "0x1.1155ab70e590ap-1"),
+    (("4/3", "1/6", "1/3"), 20_001, 1, "0x1.b6db6db6db6dcp-1", [
+        ("0x1.32f92d684ba39p-2", "0x1.1155ab70e58f6p-1"),
     ], []),
-    (("4/3", "1/6", "1/3"), 100_000, 1, "0x1.b6db6db6db7e0p-1", [
-        ("0x1.32f92d684bc46p-2", "0x1.1155ab70e5918p-1"),
+    (("4/3", "1/6", "1/3"), 100_000, 1, "0x1.b6db6db6db6dcp-1", [
+        ("0x1.32f92d684ba39p-2", "0x1.1155ab70e58f6p-1"),
     ], []),
-    (("1", "1/10", "10"), 20_001, 1, "0x1.129e031a958fbp-1", [
-        ("0x1.8353decc55d0ap-2", "0x1.a6663860a150ap-4"),
+    (("1", "1/10", "10"), 20_001, 1, "0x1.129e031a9509bp-1", [
+        ("0x1.8353decc549b2p-2", "0x1.a6663860a1467p-4"),
     ], []),
-    (("1", "1/10", "10"), 100_000, 1, "0x1.129e031a9446cp-1", [
-        ("0x1.8353decc52d91p-2", "0x1.a6663860a1378p-4"),
+    (("1", "1/10", "10"), 100_000, 1, "0x1.129e031a9509bp-1", [
+        ("0x1.8353decc549b2p-2", "0x1.a6663860a1467p-4"),
     ], []),
-    (("1/2", "1/20", "20"), 20_001, 1, "0x1.302fc09bd60b6p-1", [
-        ("0x1.fe4a6d6ec04e6p-2", "0x1.088dbba04b004p-4"),
+    (("1/2", "1/20", "20"), 20_001, 1, "0x1.302fc09bd4c4ep-1", [
+        ("0x1.fe4a6d6ebd4b6p-2", "0x1.088dbba04af5ap-4"),
     ], []),
-    (("1/2", "1/20", "20"), 100_000, 1, "0x1.302fc09bd72eap-1", [
-        ("0x1.fe4a6d6ec2fe1p-2", "0x1.088dbba04b09cp-4"),
+    (("1/2", "1/20", "20"), 100_000, 1, "0x1.302fc09bd4c4ep-1", [
+        ("0x1.fe4a6d6ebd4b6p-2", "0x1.088dbba04af5ap-4"),
     ], []),
     (("1/2", "1/2", "0"), 20_001, 1, "0x1.0000000000000p+0", [
     ], [(0.0, 1.0)]),
@@ -404,8 +409,41 @@ _RECORDED_SOLUTIONS = [
 ]
 
 
+def _ids(table, first_c):
+    """pytest ids naming each row's c as first recorded (by scan and
+    bisection), so that re-recording a row keeps its test's name."""
+    return [f"entries{i}-{row[1]}-{row[2]}-{c}-interior{i}-boundary{i}"
+            for i, (row, c) in enumerate(zip(table, first_c))]
+
+
+_FIRST_RECORDED_C = [
+    "0x1.a58743dd955a0p-1",
+    "0x1.a58743dd9558ep-1",
+    "0x1.2492492492492p+0",
+    "0x1.249249249248ap+0",
+    "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0",
+    "0x1.727cfd98c6aa5p-1",
+    "0x1.727cfd98c6af4p-1",
+    "0x1.dc48529812ee6p-2",
+    "0x1.dc4852981ee31p-2",
+    "0x1.2492492492471p-1",
+    "0x1.2492492492498p-1",
+    "0x1.7ffffffffffdap-1",
+    "0x1.8000000000004p-1",
+    "0x1.b6db6db6db776p-1",
+    "0x1.b6db6db6db7e0p-1",
+    "0x1.129e031a958fbp-1",
+    "0x1.129e031a9446cp-1",
+    "0x1.302fc09bd60b6p-1",
+    "0x1.302fc09bd72eap-1",
+    "0x1.0000000000000p+0",
+    "0x1.0000000000000p+0",
+]
+
+
 @pytest.mark.parametrize("entries, grid_n, multiplicity, c, interior, boundary",
-                         _RECORDED_SOLUTIONS)
+                         _RECORDED_SOLUTIONS, ids=_ids(_RECORDED_SOLUTIONS, _FIRST_RECORDED_C))
 def test_solve_r2_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
                                             interior, boundary):
     sol = solve_r2(M(*entries), grid_n=grid_n)
@@ -420,41 +458,53 @@ def test_solve_r2_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
 
 # Recorded like the table above, for the scan's edge cases: the root at
 # y ~ 1.4e-6 of (1/4 7; 7 0) that only the 10^6 grid separates, a matrix
-# whose exponents refine every scan cell, (1/20 19/20; 19/20 1/20) whose
-# last coarse cell is short at 1001 and 123457 points, and the largest
-# b of its row (14) with d = 0.
+# whose exponents refine every scan cell (positive definite, so now a
+# Newton solve, with x = y), (1/20 19/20; 19/20 1/20) whose last coarse
+# cell is short at 1001 and 123457 points, and the largest b of its row
+# (14) with d = 0.
 _RECORDED_SCAN_CASES = [
-    (("1/4", "7", "0"), 1_000_001, 2, "0x1.33334fe8cee17p-1", [
-        ("0x1.3c6e118effe74p-1", "0x1.79d3bd4e986e0p-20"),
-        ("0x1.17af98784fc8cp-3", "0x1.06253ace555a6p-3"),
+    (("1/4", "7", "0"), 1_000_001, 2, "0x1.33334fe86b28bp-1", [
+        ("0x1.3c6e118e8b7b9p-1", "0x1.79d3bd3f61fffp-20"),
+        ("0x1.17af98784fd54p-3", "0x1.06253ace5554ap-3"),
     ], [(0.0, 1.0)]),
-    (("1/4", "7", "0"), 100_000, 1, "0x1.5d21a76b79f72p-2", [
-        ("0x1.17af98784fc25p-3", "0x1.06253ace555d6p-3"),
+    (("1/4", "7", "0"), 100_000, 1, "0x1.5d21a76b79fc6p-2", [
+        ("0x1.17af98784fd57p-3", "0x1.06253ace55548p-3"),
     ], [(0.0, 1.0)]),
-    (("1", "1/10000", "1"), 100_000, 1, "0x1.9995e8ee1d185p-1", [
-        ("0x1.871dc9e25da49p-2", "0x1.871dc9e27d648p-2"),
+    (("1", "1/10000", "1"), 100_000, 1, "0x1.9995e8ee2ab09p-1", [
+        ("0x1.871dc9e27d64ep-2", "0x1.871dc9e27d64ep-2"),
     ], []),
-    (("1/20", "19/20", "1/20"), 1_001, 3, "0x1.a58743dd955a2p-1", [
-        ("0x1.86a3820659df5p-1", "0x1.080051164f43cp-4"),
-        ("0x1.8722191a02d8dp-2", "0x1.8722191a02d3ap-2"),
-        ("0x1.080051164f388p-4", "0x1.86a3820659e05p-1"),
+    (("1/20", "19/20", "1/20"), 1_001, 3, "0x1.a58743dd95598p-1", [
+        ("0x1.86a3820659e0ep-1", "0x1.080051164f362p-4"),
+        ("0x1.8722191a02d53p-2", "0x1.8722191a02d6ep-2"),
+        ("0x1.080051164f35cp-4", "0x1.86a3820659e10p-1"),
     ], []),
-    (("1/20", "19/20", "1/20"), 123_457, 3, "0x1.a58743dd95596p-1", [
-        ("0x1.86a3820659e13p-1", "0x1.080051164f33cp-4"),
-        ("0x1.8722191a02d84p-2", "0x1.8722191a02d42p-2"),
-        ("0x1.080051164f373p-4", "0x1.86a3820659e0ap-1"),
+    (("1/20", "19/20", "1/20"), 123_457, 3, "0x1.a58743dd95599p-1", [
+        ("0x1.86a3820659e0ep-1", "0x1.080051164f365p-4"),
+        ("0x1.8722191a02d5dp-2", "0x1.8722191a02d65p-2"),
+        ("0x1.080051164f365p-4", "0x1.86a3820659e0ep-1"),
     ], []),
-    (("4", "-3/2", "2"), 1_002, 1, "0x1.727cfd98c6b52p-1", [
-        ("0x1.2706007dbb4e7p-2", "0x1.8d8dacd343bfap-2"),
+    (("4", "-3/2", "2"), 1_002, 1, "0x1.727cfd98c6accp-1", [
+        ("0x1.2706007dbb37cp-2", "0x1.8d8dacd343c3bp-2"),
     ], []),
-    (("9/10", "14", "0"), 20_001, 1, "0x1.dd87ea99f5643p-3", [
-        ("0x1.647a0add3bda3p-4", "0x1.3ffd6365cd1ccp-4"),
+    (("9/10", "14", "0"), 20_001, 1, "0x1.dd87ea99f55cep-3", [
+        ("0x1.647a0add3bc4dp-4", "0x1.3ffd6365cd250p-4"),
     ], [(0.0, 1.0)]),
+]
+
+_FIRST_RECORDED_SCAN_C = [
+    "0x1.33334fe8cee17p-1",
+    "0x1.5d21a76b79f72p-2",
+    "0x1.9995e8ee1d185p-1",
+    "0x1.a58743dd955a2p-1",
+    "0x1.a58743dd95596p-1",
+    "0x1.727cfd98c6b52p-1",
+    "0x1.dd87ea99f5643p-3",
 ]
 
 
 @pytest.mark.parametrize("entries, grid_n, multiplicity, c, interior, boundary",
-                         _RECORDED_SCAN_CASES)
+                         _RECORDED_SCAN_CASES,
+                         ids=_ids(_RECORDED_SCAN_CASES, _FIRST_RECORDED_SCAN_C))
 def test_scan_edge_cases_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
                                                    interior, boundary):
     test_solve_r2_bit_identical_to_recorded(entries, grid_n, multiplicity, c,
@@ -540,15 +590,18 @@ def test_block_scan_matches_the_full_grid_row_by_row(block, n):
 
 
 def test_prescan_skips_the_matrices_solve_r2_never_scans():
+    # the positive definite (2 1; 1 1), (10^400 1; 1 1) and (1 10^-400;
+    # 10^-400 1) go to Newton, and (1 1; 1 1) with D = 0, b > 0 too
     never = [M(1, -1, 1), M(3, 0, 2), M(0, F(1, 2), 0), M(10**400, 1, 1),
-             M(1, F(1, 10**400), 1)]
+             M(1, F(1, 10**400), 1), M(2, 1, 1), M(1, 1, 1)]
     with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
         prescan(never, 20_001)
     assert not tba._PRESCANNED
+    scanned = M(F(1, 20), F(19, 20), F(1, 20))
     with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
-        prescan(never + [M(2, 1, 1)], 20_001)
-    block.assert_called_once_with([_exponents(M(2, 1, 1))], 20_001)
-    assert list(tba._PRESCANNED) == [(_exponents(M(2, 1, 1)), 20_001)]
+        prescan(never + [scanned], 20_001)
+    block.assert_called_once_with([_exponents(scanned)], 20_001)
+    assert list(tba._PRESCANNED) == [(_exponents(scanned), 20_001)]
     prescan((), 20_001)
     assert not tba._PRESCANNED
 
@@ -557,11 +610,11 @@ def test_solves_outside_the_prescanned_block_match_the_record():
     recorded = [M(*case[0]) for case in _RECORDED_SCAN_CASES]
     try:
         # the recorded matrices at another grid, then a block without them
-        for block in (recorded, [M(2, 1, 1), M(F(1, 2), F(1, 2), 1)]):
+        for block in (recorded, [M(F(1, 4), F(1, 4), 0), M(F(1, 2), 1, F(1, 3))]):
             prescan(block, 20_000)
             for case in _RECORDED_SCAN_CASES:
                 test_solve_r2_bit_identical_to_recorded(*case)
-            assert len(tba._PRESCANNED) == len(set(block))
+            assert len(tba._PRESCANNED) == len({A for A in block if not tba._convex(A)})
         # each recorded matrix prescanned at its own grid, then solved
         for case in _RECORDED_SCAN_CASES:
             prescan([M(*case[0])], case[1])
@@ -569,6 +622,109 @@ def test_solves_outside_the_prescanned_block_match_the_record():
             assert not tba._PRESCANNED
     finally:
         prescan((), 20_000)
+
+
+# ---------------------------------------------------------------------------
+# positive semidefinite systems: Newton on the convex Nahm potential
+
+
+def test_tiny_b_positive_definite_solves_at_kappa():
+    # exponents of order 10^33 saturate the scan, which found no root here;
+    # Newton in w = log(1 - x) meets none of them
+    k = kappa(1)
+    sol = solve_r2(M(1, F(1, 10**33), 1))
+    assert abs(sol.x - k) <= math.ulp(k) and abs(sol.y - k) <= math.ulp(k)
+    assert abs(sol.c - 0.8) <= 1e-15
+    assert sol.multiplicity == 1 and sol.residual <= 1e-15
+
+
+def test_positive_semidefinite_systems_are_not_scanned():
+    # D > 0 with b of either sign, and D = 0 with b > 0
+    cases = [M(2, 1, 1), M(4, F(-3, 2), 2), M(1, 1, 1), M(F(1, 4), F(1, 2), 1)]
+    with mock.patch("dilogtba.tba._scan", side_effect=AssertionError("scanned")):
+        for A in cases:
+            assert tba._convex(A)
+            sol = solve_r2(A, grid_n=1001)
+            assert solve_r2(A, grid_n=10**6) == sol  # grid_n does not matter
+            assert sol.multiplicity == 1 and sol.residual <= 1e-13
+            assert sol.interior == ((sol.x, sol.y),) and sol.boundary == ()
+    for A in [M(1, -1, 1), M(1, 0, 1), M(0, F(1, 4), 1), M(F(1, 20), F(19, 20), F(1, 20))]:
+        assert not tba._convex(A)
+
+
+def test_newton_at_its_cap_falls_back_to_the_scan():
+    A = M(F(5, 4), 1, 1)
+    newton = solve_r2(A, grid_n=20_001)
+    with mock.patch.object(tba, "_NEWTON_CAP", 1), \
+            mock.patch("dilogtba.tba._scan", wraps=_scan) as scan:
+        scanned = solve_r2(A, grid_n=20_001)
+    scan.assert_called_once_with(_exponents(A), 20_001)
+    assert scanned.multiplicity == 1 and scanned.residual <= 1e-13
+    assert abs(scanned.c - newton.c) <= 1e-13 and abs(scanned.c - 0.6) <= 1e-13
+
+
+def test_newton_gives_up_where_its_hessian_underflows():
+    # entries of 10^-200: det 2A, 2A (1-x)/x and their product all
+    # underflow to 0, so Newton falls back to the scan, which finds nothing
+    with pytest.raises(ScanFailure):
+        solve_r2(M(F(1, 10**200), F(1, 10**201), F(1, 10**200)))
+    # at 10^-160 they do not, and x = y round to the float below 1
+    sol = solve_r2(M(F(1, 10**160), F(1, 10**161), F(1, 10**160)))
+    assert sol.x == sol.y == 1.0 - 2.0**-53 and sol.residual <= 1e-15
+
+
+def test_residuals_do_not_overflow_where_the_product_is_finite():
+    # (1 - y)^(2b) alone overflows for b ~ -25 and 1 - y ~ 8e-8; the
+    # product with (1 - x)^(2a) is about 1
+    A = M(F(2504763, 100000), F(-70502810702021008929092871, 2814749767106560000000000),
+          F(2504763, 100000))
+    x = 1.0 - 8.175322485648451e-08
+    assert tba._residuals(A, x, x) <= 1e-7
+    sol = solve_r2(A)
+    assert sol.multiplicity == 1 and sol.residual <= 1e-13
+
+
+def _outcome(A):
+    try:
+        return solve_r2(A, grid_n=20_001)
+    except (ScanFailure, DomainError) as exc:
+        return type(exc)
+
+
+_magnitudes = st.builds(lambda m, e: F(m, 10**6) * F(10) ** e,
+                        st.integers(10**6, 10**7 - 1), st.integers(-40, 7))
+
+
+@st.composite
+def _psd_matrices(draw):
+    """In-range positive semidefinite matrices, entries 1e-40 to 1e8, b of
+    either sign, with D from order ad down to exactly 0."""
+    a, d = draw(_magnitudes), draw(_magnitudes)
+    kind = draw(st.sampled_from(["free", "near", "singular"]))
+    if kind == "free":
+        b = draw(_magnitudes) * draw(st.sampled_from([1, -1]))
+    elif kind == "near":
+        # b^2 = ad (1 - 10^-k)^2, from a float square root rounded down
+        r = F(math.sqrt(a * d)).limit_denominator(10**50)
+        b = r * (1 - F(1, 10 ** draw(st.integers(1, 17)))) * draw(st.sampled_from([1, -1]))
+    else:
+        p, q = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+        a, d, b = a * p * p, a * q * q, a * p * q
+    A = M(a, b, d)
+    assume(b >= -min(a, d) and tba._convex(A))
+    return A
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(A=_psd_matrices())
+def test_newton_results_are_accepted_or_the_scan_s(A):
+    sol = _outcome(A)
+    if (isinstance(sol, tba.TbaSolution) and sol.multiplicity == 1
+            and sol.residual <= 1e-13 and sol.interior == ((sol.x, sol.y),)):
+        assert 0.0 < sol.x < 1.0 and 0.0 < sol.y < 1.0 and sol.boundary == ()
+        return
+    with mock.patch.object(tba, "_NEWTON_CAP", 0):
+        assert _outcome(A) == sol
 
 
 # ---------------------------------------------------------------------------
