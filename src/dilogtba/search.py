@@ -8,9 +8,10 @@ through a cheap-to-expensive pipeline:
        over one common denominator; only matrices in range are built)
     -> the singular a = d = -b != 0, whose equations force xy = 1,
        rejected exactly (tba.forces_xy_one; counted as pruned)
-    -> scan the grid for the matrices of each block of 16 that are not
-       positive semidefinite (tba.prescan: one numpy pass per block,
-       results held only until each matrix is solved)
+    -> scan the grid for the matrices of each block of 32 that are not
+       positive semidefinite and not solved before (tba.prescan: one
+       numpy pass per block, results held only until each matrix is
+       solved)
     -> solve the TBA system one matrix at a time: Newton on the convex
        Nahm potential for a positive semidefinite matrix (no grid), else
        the block's scan, then Newton-split bisection of each bracket
@@ -29,6 +30,17 @@ re-solved on a finer grid before acceptance and flagged suspect.
 Results are deterministic and ordered by (largest entry denominator,
 a, d, b).
 
+Overlapping windows share their matrices (den2's lie inside den4's,
+which lie inside den6's), so the process keeps each solved matrix's
+verdict: its section (or that it was dropped), its candidate and
+whether it was re-solved as a suspect, under the key (A.integers,
+grid_n, tolerance, require_uniqueness), for the last 16 384 keys, with
+the matrix object itself.  A repeated matrix is neither built, nor
+recognized, nor annotated again.  It still goes through solve_r2, and
+a suspect through its re-solve, which return the results solve_r2
+holds (see tba.solve_r2), so each solve and re-solve is one solve_r2
+call.
+
 dedupe_by_duality collapses pairs (A, (1/4) A^{-1}) that are both
 present to the representative with c <= 1, recording the partner and
 its c value on the kept candidate.
@@ -38,11 +50,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from json.encoder import encode_basestring_ascii
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .analysis import (
     BoundsResult,
@@ -87,8 +101,9 @@ class SearchConfig:
     recognition tolerance (at least the solver floor of 1e-10); the
     charge spectra are those of charges.recognize at its default
     bounds.  fix_d pins d to one exact value; a_eq_d restricts to the
-    symmetric family a = d.  grid_n is the scan resolution used for
-    search solves (suspects re-solve at 20x).
+    symmetric family a = d, so the two cannot both be set.  grid_n is
+    the scan resolution used for search solves (suspects re-solve at
+    20x).
     """
 
     max_numerator: int = 8
@@ -111,6 +126,8 @@ class SearchConfig:
             raise ValueError(f"tolerance {self.tolerance} is below the solver floor 1e-10")
         if self.grid_n < 1001:
             raise ValueError(f"grid_n {self.grid_n} is below the solver floor 1001")
+        if self.fix_d is not None and self.a_eq_d:
+            raise ValueError("fix_d and a_eq_d cannot both be set: a_eq_d takes d = a")
         for name in ("entry_min", "entry_max", "fix_d"):
             v = getattr(self, name)
             if v is not None:
@@ -183,8 +200,9 @@ class SearchReport:
         return len(self.admissible)
 
 
-def _entries(cfg: SearchConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Entries (a, b, d) of the in-range matrices, a >= d, in report order.
+def _entries(cfg: SearchConfig) -> list[tuple[tuple[int, ...], Fraction, Fraction, Fraction]]:
+    """The in-range matrices, a >= d, in report order: each as its
+    RationalSymmetricMatrix.integers and its entries (a, b, d).
 
     Entries are compared as integer numerators over one common
     denominator, in the range test a, d >= 0, b >= -d (which is
@@ -211,14 +229,33 @@ def _entries(cfg: SearchConfig) -> list[tuple[Fraction, Fraction, Fraction]]:
             for b, bn, bq in b_values[bisect_left(b_nums, -dn):]:
                 if an == dn == 0 and 2 * bn == m:
                     continue  # a = d = 0, b = 1/2: a continuum, not a discrete system
-                keyed.append(((max(aq, bq, dq), an, dn, bn), a, b, d))
+                # the matrix's own common denominator is m / g
+                g = m // math.lcm(aq, bq, dq)
+                keyed.append(((max(aq, bq, dq), an, dn, bn), (an // g, bn // g, dn // g, m // g),
+                              a, b, d))
     keyed.sort()
-    return [(a, b, d) for _, a, b, d in keyed]
+    return [entry[1:] for entry in keyed]
 
 
-# Matrices scanned together by tba.prescan: the scan's fixed numpy cost is
-# paid once per block.
-_BLOCK = 16
+# Matrices prescanned together: the scan's fixed numpy cost is paid once
+# per block.  tba.prescan leaves out the positive semidefinite matrices
+# and those solved before, often half a block or more.
+_BLOCK = 32
+
+
+class _Verdict(NamedTuple):
+    """What run_search made of a solved matrix."""
+
+    A: RationalSymmetricMatrix
+    section: str | None  # "admissible", "nonunique", or None: dropped
+    candidate: Candidate | None
+    resolved: bool  # re-solved on the finer grid as a suspect
+
+
+# Verdicts by (A.integers, grid_n, tolerance, require_uniqueness); beyond
+# _VERDICTS_CAP entries the oldest goes first.
+_VERDICTS: OrderedDict[tuple, _Verdict] = OrderedDict()
+_VERDICTS_CAP = 16_384
 
 
 def run_search(cfg: SearchConfig) -> SearchReport:
@@ -228,8 +265,8 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     report.scanned = len(entries)
 
     # a matrix is built only when its block's turn comes, and kept only in
-    # a report section
-    for A in _prescanned(entries, cfg.grid_n):
+    # a report section or a verdict
+    for A, key, verdict in _prescanned(entries, cfg):
         if forces_xy_one(A):
             report.pruned += 1
             continue
@@ -239,42 +276,65 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             report.failures.append((A, str(exc)))
             continue
         report.solved += 1
-
-        match = recognize(sol.c, tol=cfg.tolerance)
-        suspect = False
-        if not match.empty and match.residual > 1e-9:
-            # near-miss: re-solve on a much finer grid before accepting
-            suspect = True
-            sol = solve_r2(A, grid_n=20 * cfg.grid_n, tol=1e-15)
-            match = recognize(sol.c, tol=cfg.tolerance)
-
-        if sol.multiplicity > 1 and cfg.require_uniqueness:
-            section = report.nonunique
-        elif not match.empty:
-            section = report.admissible
-        else:
-            continue
-        flags = PropFlags(
-            classification=classify_vs_one(A),
-            uniqueness_guarantee=uniqueness_guarantee(A),
-            bounds=bounds_on_c(A) if A.d > 0 else None,  # a >= d by enumeration
-        )
-        section.append(Candidate(A=A, c=sol.c, matches=match, solution=sol,
-                                 prop_flags=flags, suspect=suspect))
+        if verdict is None:
+            verdict = _VERDICTS[key] = _judge(A, sol, cfg)
+            if len(_VERDICTS) > _VERDICTS_CAP:
+                _VERDICTS.popitem(last=False)
+        elif verdict.resolved:
+            # the suspect's re-solve, which solve_r2 holds
+            solve_r2(A, grid_n=20 * cfg.grid_n, tol=1e-15)
+        if verdict.section is not None:
+            getattr(report, verdict.section).append(verdict.candidate)
 
     return report
 
 
-def _prescanned(entries, grid_n: int):
-    """The matrices of entries, a block of _BLOCK built and prescanned
-    at a time; the prescan memo is emptied when the walk ends."""
+def _judge(A: RationalSymmetricMatrix, sol: TbaSolution, cfg: SearchConfig) -> _Verdict:
+    """Recognize sol.c, re-solving a near-miss, and annotate a kept matrix."""
+    match = recognize(sol.c, tol=cfg.tolerance)
+    suspect = False
+    if not match.empty and match.residual > 1e-9:
+        # near-miss: re-solve on a much finer grid before accepting
+        suspect = True
+        sol = solve_r2(A, grid_n=20 * cfg.grid_n, tol=1e-15)
+        match = recognize(sol.c, tol=cfg.tolerance)
+
+    if sol.multiplicity > 1 and cfg.require_uniqueness:
+        section = "nonunique"
+    elif not match.empty:
+        section = "admissible"
+    else:
+        return _Verdict(A, None, None, suspect)
+    flags = PropFlags(
+        classification=classify_vs_one(A),
+        uniqueness_guarantee=uniqueness_guarantee(A),
+        bounds=bounds_on_c(A) if A.d > 0 else None,  # a >= d by enumeration
+    )
+    return _Verdict(A, section, Candidate(A=A, c=sol.c, matches=match, solution=sol,
+                                          prop_flags=flags, suspect=suspect), suspect)
+
+
+def _prescanned(entries, cfg: SearchConfig):
+    """Each matrix of entries with its verdict key and held verdict (or
+    None), a block of _BLOCK at a time: a held verdict's matrix is reused,
+    any other is built, and the block is prescanned.  The prescan memo is
+    emptied when the walk ends."""
     try:
         for start in range(0, len(entries), _BLOCK):
-            block = [RationalSymmetricMatrix(a, b, d) for a, b, d in entries[start:start + _BLOCK]]
-            prescan(block, grid_n)
+            block = []
+            for integers, a, b, d in entries[start:start + _BLOCK]:
+                key = (integers, cfg.grid_n, cfg.tolerance, cfg.require_uniqueness)
+                verdict = _VERDICTS.get(key)
+                if verdict is None:
+                    A = RationalSymmetricMatrix(a, b, d)
+                    vars(A)["integers"] = integers  # the cached_property's value
+                else:
+                    A = verdict.A
+                block.append((A, key, verdict))
+            prescan([A for A, _, _ in block], cfg.grid_n)
             yield from block
     finally:
-        prescan((), grid_n)
+        prescan((), cfg.grid_n)
 
 
 def dedupe_by_duality(cands: list[Candidate]) -> list[Candidate]:

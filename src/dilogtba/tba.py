@@ -48,9 +48,13 @@ one.  prescan scans a block of matrices ahead of their solves and keeps
 the results, keyed by exponents and grid size, until solve_r2 takes
 them or the next prescan replaces them; the search prescans its
 matrices a block at a time, paying numpy's fixed cost per call once per
-block.  numpy is imported on first use, inside _coarse_grid, _scan_block
-and _exp_in_place, so a process that solves only positive semidefinite
-or b = 0 systems does not load it.  For b = 0 the system decouples into
+block.  solve_r2 keeps each result, the solution or the ScanFailure
+message, under the key (A.integers, grid_n, tol), for the last 16 384
+keys of the process; prescan leaves out the matrices already held, so a
+repeated matrix is neither scanned nor solved again.  numpy is
+imported on first use, inside _coarse_grid, _scan_block and
+_exp_in_place, so a process that solves only positive semidefinite or
+b = 0 systems does not load it.  For b = 0 the system decouples into
 two r=1 problems.
 Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
 (resp. a = 0) with b > 0; they are reported separately from interior
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -446,13 +451,16 @@ def prescan(matrices, grid_n: int) -> None:
     one by one costs one numpy pass instead of one per matrix.  Matrices
     with b = 0, the positive semidefinite ones (solved by Newton), the
     a = d = 0, b = 1/2 continuum, the singular a = d = -b and those
-    whose exponents overflow are skipped.  Each result is a function of the
-    exponents and grid_n alone, so the solutions do not change.
+    whose exponents overflow are skipped, and so are the matrices whose
+    result solve_r2 holds under (A.integers, grid_n, its default tol),
+    among its last 16 384, which a solve does not scan again.  Each
+    result is a function of the exponents and grid_n alone, so the
+    solutions do not change.
     """
     _PRESCANNED.clear()
     ps = []
     for A in matrices:
-        if A.b != 0 and not _convex(A):
+        if A.b != 0 and not _convex(A) and (A.integers, grid_n, _TOL) not in _SOLVED:
             try:
                 ps.append(_scanned_exponents(A))
             except (DomainError, ScanFailure):
@@ -629,10 +637,19 @@ def _newton(A: RationalSymmetricMatrix) -> tuple[float, float, float] | None:
     return None
 
 
+# Results of solve_r2 by (A.integers, grid_n, tol): the TbaSolution, or
+# the message of the ScanFailure it raised.  Beyond _SOLVED_CAP entries
+# the oldest goes first.
+_SOLVED: OrderedDict[tuple, TbaSolution | str] = OrderedDict()
+_SOLVED_CAP = 16_384
+# solve_r2's default tol, at which prescan looks for held results
+_TOL = 1e-14
+
+
 def solve_r2(
     A: RationalSymmetricMatrix,
     grid_n: int = 100_000,
-    tol: float = 1e-14,
+    tol: float = _TOL,
     enforce_range: bool = True,
 ) -> TbaSolution:
     """Solve the r=2 system, reporting all interior solutions found.
@@ -672,11 +689,35 @@ def solve_r2(
     ad) leave it yet still solve.  Pass enforce_range=False to solve
     such matrices anyway; outside the range nothing is guaranteed and
     ScanFailure simply means the grid found no sign change.
+
+    The result is a function of A.integers, grid_n and tol alone, so
+    the process keeps it under that key: the last 16 384 results (a
+    TbaSolution, or a ScanFailure's message, raised again as a new
+    ScanFailure) are held, and a repeated solve returns the held
+    TbaSolution itself.  The range and grid_n checks run on every call;
+    a DomainError is not held.
     """
     if grid_n < 1001:
         raise DomainError(f"grid_n must be at least 1001 for reliable root separation, got {grid_n}")
     if enforce_range and not check_range(A):
         raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
+    key = (A.integers, grid_n, tol)
+    held = _SOLVED.get(key)
+    if held is None:
+        try:
+            held = _solve_r2(A, grid_n, tol)
+        except ScanFailure as exc:
+            held = str(exc)
+        _SOLVED[key] = held
+        if len(_SOLVED) > _SOLVED_CAP:
+            _SOLVED.popitem(last=False)
+    if type(held) is str:
+        raise ScanFailure(held)
+    return held
+
+
+def _solve_r2(A: RationalSymmetricMatrix, grid_n: int, tol: float) -> TbaSolution:
+    """solve_r2 of an in-range A (or one whose range is not enforced)."""
     a, b, d, m = A.integers
     interior: list[tuple[float, float]] = []
     boundary: list[tuple[float, float]] = []

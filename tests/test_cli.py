@@ -485,6 +485,15 @@ def test_search_malformed_fraction_flag_exits_2(value):
     assert "--entry-min" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--fix-d", "1", "--a-eq-d"],
+                                  ["--config", "symmetric", "--fix-d", "0"]])
+def test_search_with_fix_d_and_a_eq_d_exits_2(argv):
+    # a_eq_d took d = a and dropped --fix-d without a word
+    code, out, err = run_cli(["search", "--max-den-entries", "2", "--max-num", "2", *argv])
+    assert (code, out) == (2, "")
+    assert "fix_d" in err and "a_eq_d" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["den2", "symmetric", None])
 def test_search_report_is_the_library_report(name, schema):
     cfg = SearchConfig() if name is None else EXAMPLE_CONFIGS[name]

@@ -16,6 +16,8 @@ import hashlib
 import io
 import json
 import math
+from collections import OrderedDict
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -114,6 +116,15 @@ def test_config_rejects_a_non_finite_tolerance(tolerance):
         SearchConfig(max_denominator=2, max_numerator=2, tolerance=tolerance)
 
 
+def test_config_rejects_fix_d_with_a_eq_d():
+    # a_eq_d took d = a, so fix_d = 1 was dropped and d ran over 0, 1/2, 1, 2
+    with pytest.raises(ValueError, match="fix_d and a_eq_d"):
+        SearchConfig(max_denominator=2, max_numerator=2, fix_d=1, a_eq_d=True)
+    with pytest.raises(ValueError, match="fix_d and a_eq_d"):
+        replace(EXAMPLE_CONFIGS["symmetric"], fix_d=F(0))
+    assert SearchConfig(max_denominator=2, max_numerator=2, fix_d=1).fix_d == 1
+
+
 def test_config_caps_the_enumeration():
     # unbounded flags enumerated every matrix: 200/200 has ~1.5e13 of them
     with pytest.raises(ValueError, match="above 10000"):
@@ -137,6 +148,14 @@ def test_config_coerces_exact_bounds():
     cfg = SearchConfig(fix_d=0, entry_min=1)
     assert cfg.fix_d == F(0) and isinstance(cfg.fix_d, F)
     assert cfg.entry_min == F(1) and isinstance(cfg.entry_min, F)
+
+
+@pytest.mark.parametrize("name", ["den4", "diag_zero", "symmetric"])
+def test_entries_carry_each_matrix_s_integers(name):
+    # run_search keys its verdicts on them and hands them to the matrices
+    # it builds in place of their own A.integers
+    for integers, a, b, d in search._entries(EXAMPLE_CONFIGS[name]):
+        assert integers == RationalSymmetricMatrix(a, b, d).integers
 
 
 def test_example_configs_cover_the_documented_grids():
@@ -199,6 +218,7 @@ def test_require_uniqueness_off_moves_matched_candidates():
     assert RationalSymmetricMatrix(1, 4, 0) not in entries
 
 
+@pytest.mark.usefixtures("cold_solver")
 def test_scan_failures_are_recorded_not_fatal(small_report):
     failing = RationalSymmetricMatrix(2, 1, 1)
 
@@ -220,6 +240,7 @@ def test_scan_failures_are_recorded_not_fatal(small_report):
         {"matrix": {"a": "2", "b": "1", "d": "1"}, "message": "no solution found"}]
 
 
+@pytest.mark.usefixtures("cold_solver")
 def test_xy_one_matrices_are_pruned_before_the_scan():
     # pruned counts exactly the a = d = -b matrices, none reaches solve_r2,
     # and solve_r2 is called once per solve, failure and suspect re-solve:
@@ -241,6 +262,17 @@ def test_xy_one_matrices_are_pruned_before_the_scan():
         assert rep.pruned == 4
         # no scan is left in the memo, not even the failing matrix's
         assert not tba._PRESCANNED
+
+
+def test_call_counts_hold_on_a_warm_store():
+    # the same three runs with every verdict and solve held from a first
+    # pass: a held suspect still makes its one re-solve call
+    with _fresh_stores():
+        for tolerance in (1e-9, 1e-7):
+            run_search(SearchConfig(max_denominator=1, max_numerator=4, tolerance=tolerance))
+        with mock.patch.object(search, "recognize", wraps=recognize) as recognized:
+            test_xy_one_matrices_are_pruned_before_the_scan()
+        assert recognized.call_count == 0
 
 
 def _brute_force_admissible(cfg: SearchConfig) -> dict:
@@ -419,6 +451,38 @@ def test_reports_are_byte_identical_to_recorded(name, den2_report):
     digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                     for text in (report_text(report), report_json(report)))
     assert digests == _REPORT_DIGESTS[name]
+
+
+def _digests(report):
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (report_text(report), report_json(report)))
+
+
+@contextlib.contextmanager
+def _fresh_stores():
+    """Empty process-wide stores of tba.solve_r2 and run_search, at their
+    own caps, for the block; the old ones are back afterwards."""
+    with mock.patch.object(tba, "_SOLVED", OrderedDict()), \
+            mock.patch.object(search, "_VERDICTS", OrderedDict()):
+        yield
+
+
+def test_held_verdicts_leave_the_reports_unchanged():
+    # den2's matrices lie inside den4's: after den4, and on a second run,
+    # den2 is judged from held verdicts alone
+    with _fresh_stores():
+        run_search(EXAMPLE_CONFIGS["den4"])
+        after_den4 = run_search(EXAMPLE_CONFIGS["den2"])
+    with _fresh_stores():
+        first = run_search(EXAMPLE_CONFIGS["den2"])
+        with mock.patch.object(search, "recognize", wraps=recognize) as recognized, \
+                mock.patch.object(search, "RationalSymmetricMatrix",
+                                  wraps=RationalSymmetricMatrix) as built:
+            second = run_search(EXAMPLE_CONFIGS["den2"])
+    for report in (after_den4, first, second):
+        assert _digests(report) == _REPORT_DIGESTS["den2"]
+    # only the pruned a = d = -b matrices are built again
+    assert (recognized.call_count, built.call_count) == (0, second.pruned)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ solver.
 """
 
 import math
+from collections import OrderedDict
 from fractions import Fraction as F
 from unittest import mock
 
@@ -236,6 +237,7 @@ def test_no_solution():
         solve_r2(M(1, -1, 1))
 
 
+@pytest.mark.usefixtures("cold_solver")
 @pytest.mark.parametrize("k", [1, 2, 3, 4, F(1, 6), F(7, 2), -2])
 def test_xy_one_matrices_fail_before_the_scan(k):
     A = M(k, -k, k)
@@ -589,6 +591,7 @@ def test_block_scan_matches_the_full_grid_row_by_row(block, n):
 # the prescan memo
 
 
+@pytest.mark.usefixtures("cold_solver")
 def test_prescan_skips_the_matrices_solve_r2_never_scans():
     # the positive definite (2 1; 1 1), (10^400 1; 1 1) and (1 10^-400;
     # 10^-400 1) go to Newton, and (1 1; 1 1) with D = 0, b > 0 too
@@ -606,6 +609,7 @@ def test_prescan_skips_the_matrices_solve_r2_never_scans():
     assert not tba._PRESCANNED
 
 
+@pytest.mark.usefixtures("cold_solver")
 def test_solves_outside_the_prescanned_block_match_the_record():
     recorded = [M(*case[0]) for case in _RECORDED_SCAN_CASES]
     try:
@@ -625,6 +629,71 @@ def test_solves_outside_the_prescanned_block_match_the_record():
 
 
 # ---------------------------------------------------------------------------
+# results held by solve_r2
+
+
+def test_prescan_leaves_out_the_matrices_solve_r2_holds():
+    held, fresh = M(F(1, 20), F(19, 20), F(1, 20)), M(F(1, 2), 1, F(1, 3))
+    try:
+        with mock.patch.object(tba, "_SOLVED", OrderedDict()):
+            solve_r2(held, grid_n=20_001)
+            with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
+                # the positive definite (2 1; 1 1) is never scanned
+                prescan([held, fresh, M(2, 1, 1)], 20_001)
+                block.assert_called_once_with([_exponents(fresh)], 20_001)
+                # held at 20 001 points only
+                block.reset_mock()
+                prescan([held], 30_001)
+                block.assert_called_once_with([_exponents(held)], 30_001)
+            with mock.patch("dilogtba.tba._scan", side_effect=AssertionError("scanned")):
+                assert solve_r2(held, grid_n=20_001) is tba._SOLVED[(held.integers, 20_001, 1e-14)]
+    finally:
+        prescan((), 20_001)
+
+
+def _held_or_not(A, grid_n):
+    """solve_r2's result, or the type and message of its ScanFailure."""
+    try:
+        return solve_r2(A, grid_n=grid_n)
+    except ScanFailure as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _solvable_or_not(draw):
+    """In-range matrices: positive semidefinite, D < 0, d = 0, and ones
+    that end in ScanFailure (a = d = -b, the b = 1/2 continuum, and
+    three whose one solution lies below a coarse grid's first point)."""
+    kind = draw(st.sampled_from(["psd", "indefinite", "d_zero", "failing"]))
+    a, b, d = draw(_entries), draw(_entries), draw(_entries)
+    if kind == "psd":
+        A = M(a, b * draw(st.sampled_from([1, -1])), d)
+        assume(tba._convex(A) and check_range(A))
+    elif kind == "indefinite":
+        A = M(a, b - min(a, d), d)
+        assume(A.b != 0 and A.D < 0)
+    elif kind == "d_zero":
+        A = M(a, b, 0)
+    else:
+        A = draw(st.sampled_from([M(a + 1, -a - 1, a + 1), M(0, F(1, 2), 0), M(1, 8, F(16, 5)),
+                                  M(F(1, 2), F(11, 2), 3), M(F(2, 3), 8, 8)]))
+    return A
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(A=_solvable_or_not(), grid_n=st.sampled_from([1001, 20_001]))
+def test_a_held_result_is_the_cold_one(A, grid_n):
+    with mock.patch.object(tba, "_SOLVED", OrderedDict()) as held:
+        _held_or_not(A, grid_n)
+        assert list(held) == [(A.integers, grid_n, 1e-14)]
+        warm = _held_or_not(A, grid_n)
+    with mock.patch.object(tba, "_SOLVED", OrderedDict()):
+        cold = _held_or_not(A, grid_n)
+    # repr shows every field's float exactly, signed zeros included
+    assert repr(warm) == repr(cold)
+
+
+# ---------------------------------------------------------------------------
 # positive semidefinite systems: Newton on the convex Nahm potential
 
 
@@ -638,6 +707,7 @@ def test_tiny_b_positive_definite_solves_at_kappa():
     assert sol.multiplicity == 1 and sol.residual <= 1e-15
 
 
+@pytest.mark.usefixtures("cold_solver")
 def test_positive_semidefinite_systems_are_not_scanned():
     # D > 0 with b of either sign, and D = 0 with b > 0
     cases = [M(2, 1, 1), M(4, F(-3, 2), 2), M(1, 1, 1), M(F(1, 4), F(1, 2), 1)]
@@ -652,6 +722,7 @@ def test_positive_semidefinite_systems_are_not_scanned():
         assert not tba._convex(A)
 
 
+@pytest.mark.usefixtures("cold_solver")
 def test_newton_at_its_cap_falls_back_to_the_scan():
     A = M(F(5, 4), 1, 1)
     newton = solve_r2(A, grid_n=20_001)
@@ -715,6 +786,7 @@ def _psd_matrices(draw):
     return A
 
 
+@pytest.mark.usefixtures("cold_solver")
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(A=_psd_matrices())
 def test_newton_results_are_accepted_or_the_scan_s(A):
