@@ -8,13 +8,13 @@ through a cheap-to-expensive pipeline:
        over one common denominator; only matrices in range are built)
     -> the singular a = d = -b != 0, whose equations force xy = 1,
        rejected exactly (tba.forces_xy_one; counted as pruned)
-    -> scan the grid for the matrices of each block of 32 that are not
-       positive semidefinite and not solved before (tba.prescan: one
-       numpy pass per block, results held only until each matrix is
-       solved)
-    -> solve the TBA system one matrix at a time: Newton on the convex
-       Nahm potential for a positive semidefinite matrix (no grid), else
-       the block's scan, then Newton-split bisection of each bracket
+    -> solve the matrices of each block of 32 that are not positive
+       semidefinite and not solved before from one scan of the grid
+       (tba.prescan: one numpy pass per block, then Newton-split
+       bisection of each bracket; the results go into solve_r2's store)
+    -> solve the TBA system one matrix at a time: the held result of a
+       scanned matrix, Newton on the convex Nahm potential for a
+       positive semidefinite one (no grid)
     -> recognize c against minimal / parafermionic / rational spectra
     -> for kept candidates only: classification of c vs 1, the
        uniqueness guarantee and, for d > 0, the two-sided bounds on c
@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
-from json.encoder import encode_basestring_ascii
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -282,7 +281,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
                 _VERDICTS.popitem(last=False)
         elif verdict.resolved:
             # the suspect's re-solve, which solve_r2 holds
-            solve_r2(A, grid_n=20 * cfg.grid_n, tol=1e-15)
+            solve_r2(A, grid_n=20 * cfg.grid_n)
         if verdict.section is not None:
             getattr(report, verdict.section).append(verdict.candidate)
 
@@ -296,7 +295,7 @@ def _judge(A: RationalSymmetricMatrix, sol: TbaSolution, cfg: SearchConfig) -> _
     if not match.empty and match.residual > 1e-9:
         # near-miss: re-solve on a much finer grid before accepting
         suspect = True
-        sol = solve_r2(A, grid_n=20 * cfg.grid_n, tol=1e-15)
+        sol = solve_r2(A, grid_n=20 * cfg.grid_n)
         match = recognize(sol.c, tol=cfg.tolerance)
 
     if sol.multiplicity > 1 and cfg.require_uniqueness:
@@ -317,24 +316,20 @@ def _judge(A: RationalSymmetricMatrix, sol: TbaSolution, cfg: SearchConfig) -> _
 def _prescanned(entries, cfg: SearchConfig):
     """Each matrix of entries with its verdict key and held verdict (or
     None), a block of _BLOCK at a time: a held verdict's matrix is reused,
-    any other is built, and the block is prescanned.  The prescan memo is
-    emptied when the walk ends."""
-    try:
-        for start in range(0, len(entries), _BLOCK):
-            block = []
-            for integers, a, b, d in entries[start:start + _BLOCK]:
-                key = (integers, cfg.grid_n, cfg.tolerance, cfg.require_uniqueness)
-                verdict = _VERDICTS.get(key)
-                if verdict is None:
-                    A = RationalSymmetricMatrix(a, b, d)
-                    vars(A)["integers"] = integers  # the cached_property's value
-                else:
-                    A = verdict.A
-                block.append((A, key, verdict))
-            prescan([A for A, _, _ in block], cfg.grid_n)
-            yield from block
-    finally:
-        prescan((), cfg.grid_n)
+    any other is built, and the block is prescanned."""
+    for start in range(0, len(entries), _BLOCK):
+        block = []
+        for integers, a, b, d in entries[start:start + _BLOCK]:
+            key = (integers, cfg.grid_n, cfg.tolerance, cfg.require_uniqueness)
+            verdict = _VERDICTS.get(key)
+            if verdict is None:
+                A = RationalSymmetricMatrix(a, b, d)
+                vars(A)["integers"] = integers  # the cached_property's value
+            else:
+                A = verdict.A
+            block.append((A, key, verdict))
+        prescan([A for A, _, _ in block], cfg.grid_n)
+        yield from block
 
 
 def dedupe_by_duality(cands: list[Candidate]) -> list[Candidate]:
@@ -486,87 +481,10 @@ def _report_doc(report: SearchReport, tol: float):
     }
 
 
-class _Unhandled(Exception):
-    """A value _write leaves to json.dumps."""
-
-
-def _finite(v: float) -> str:
-    if not math.isfinite(v):
-        raise _Unhandled
-    return float.__repr__(v)
-
-
-# how json.dumps writes each scalar type; a subclass is not listed
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _finite,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
-def _write(o, indent: str, append) -> None:
-    """Append o's text, as json.dumps(indent=2, sort_keys=True) writes it,
-    nested at indent (a newline and spaces).  Handles the scalars of
-    _SCALARS, lists and str-keyed dicts; anything else raises _Unhandled."""
-    if type(o) is dict:
-        if not o:
-            append("{}")
-            return
-        inner = indent + "  "
-        sep, head = "," + inner, "{" + inner
-        for k in sorted(o):
-            if type(k) is not str:
-                raise _Unhandled
-            v = o[k]
-            scalar = _SCALARS.get(type(v))
-            if scalar is not None:
-                append(head + encode_basestring_ascii(k) + ": " + scalar(v))
-            else:
-                append(head + encode_basestring_ascii(k) + ": ")
-                _write(v, inner, append)
-            head = sep
-        append(indent + "}")
-    elif type(o) is list:
-        if not o:
-            append("[]")
-            return
-        inner = indent + "  "
-        sep, head = "," + inner, "[" + inner
-        for v in o:
-            scalar = _SCALARS.get(type(v))
-            if scalar is not None:
-                append(head + scalar(v))
-            else:
-                append(head)
-                _write(v, inner, append)
-            head = sep
-        append(indent + "]")
-    else:
-        scalar = _SCALARS.get(type(o))
-        if scalar is None:
-            raise _Unhandled
-        append(scalar(o))
-
-
 def _json_text(doc) -> str:
-    """The one JSON serializer of the package: indented, sorted keys,
-    finite numbers only (NaN or infinity raises ValueError).
-
-    The text is json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n" byte for byte.  _write builds it for the
-    types the documents hold, about twice as fast; any other value
-    (a non-finite float included) goes to json.dumps itself.
-    """
-    out: list[str] = []
-    try:
-        _write(doc, "\n", out.append)
-    except (_Unhandled, TypeError, RecursionError):
-        # TypeError: sorting keys of mixed types
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    out.append("\n")
-    return "".join(out)
+    """The one JSON serializer of the package: one line, sorted keys,
+    finite numbers only (NaN or infinity raises ValueError)."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def report_json(report: SearchReport, tol: float = 1e-9) -> str:

@@ -43,15 +43,13 @@ every point, so the brackets and every root are bit-identical to it;
 exponents too large for the margin to cover refine every cell.  One
 kernel, _scan_block, runs both passes for a block of exponent rows at
 once; every value is computed elementwise, so a row's result does not
-depend on the block it is scanned in.  A lone solve scans a block of
-one.  prescan scans a block of matrices ahead of their solves and keeps
-the results, keyed by exponents and grid size, until solve_r2 takes
-them or the next prescan replaces them; the search prescans its
-matrices a block at a time, paying numpy's fixed cost per call once per
-block.  solve_r2 keeps each result, the solution or the ScanFailure
-message, under the key (A.integers, grid_n, tol), for the last 16 384
-keys of the process; prescan leaves out the matrices already held, so a
-repeated matrix is neither scanned nor solved again.  numpy is
+depend on the block it is scanned in.  solve_r2 keeps each result, the
+solution or the ScanFailure message, under the key (A.integers,
+grid_n), for the last 16 384 keys of the process, so a repeated matrix
+is neither scanned nor solved again.  A lone solve scans a block of
+one; prescan solves a block of matrices with one scan and puts the
+results in that store, and the search prescans its matrices a block at
+a time, paying numpy's fixed cost per call once per block.  numpy is
 imported on first use, inside _coarse_grid, _scan_block and
 _exp_in_place, so a process that solves only positive semidefinite or
 b = 0 systems does not load it.  For b = 0 the system decouples into
@@ -433,42 +431,6 @@ def _scan_block(P, n: int) -> list[_Scan]:
     return [(sorted(h), f) for h, f in zip(hits, flips)]
 
 
-# Scans of the block of matrices last passed to prescan, keyed by
-# (exponents, grid size) and taken out by _scan.
-_PRESCANNED: dict[tuple[tuple[float, float, float, float], int], _Scan] = {}
-
-
-def _scan(p, n: int) -> _Scan:
-    """_scan_block for the one exponent tuple p, or its prescanned result."""
-    return _PRESCANNED.pop((p, n), None) or _scan_block([p], n)[0]
-
-
-def prescan(matrices, grid_n: int) -> None:
-    """Scan, as one block, every matrix of matrices that solve_r2 would scan.
-
-    The results replace those of the previous call and wait for
-    solve_r2(A, grid_n) to take them, so solving a block of matrices
-    one by one costs one numpy pass instead of one per matrix.  Matrices
-    with b = 0, the positive semidefinite ones (solved by Newton), the
-    a = d = 0, b = 1/2 continuum, the singular a = d = -b and those
-    whose exponents overflow are skipped, and so are the matrices whose
-    result solve_r2 holds under (A.integers, grid_n, its default tol),
-    among its last 16 384, which a solve does not scan again.  Each
-    result is a function of the exponents and grid_n alone, so the
-    solutions do not change.
-    """
-    _PRESCANNED.clear()
-    ps = []
-    for A in matrices:
-        if A.b != 0 and not _convex(A) and (A.integers, grid_n, _TOL) not in _SOLVED:
-            try:
-                ps.append(_scanned_exponents(A))
-            except (DomainError, ScanFailure):
-                pass
-    if ps:
-        _PRESCANNED.update(zip([(p, grid_n) for p in ps], _scan_block(ps, grid_n)))
-
-
 def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
     a, b, d, m = A.integers
     a, b, d = a / m, b / m, d / m
@@ -496,7 +458,7 @@ def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
 _NUDGE = 2.0**-52
 
 
-def _bisect_root(p, lo: float, hi: float, glo: float, tol: float) -> float:
+def _bisect_root(p, lo: float, hi: float, glo: float) -> float:
     """A root of g = f - 1 in the bracket (lo, hi), g(lo) having glo's sign.
 
     Each step splits the bracket at the Newton point of g from the
@@ -508,14 +470,12 @@ def _bisect_root(p, lo: float, hi: float, glo: float, tol: float) -> float:
     ulps of an end moves to a few ulps from it, so once Newton has
     converged the next split lands beyond the root and the bracket
     closes around it.  It stops at an exact zero, or at the midpoint of
-    a bracket narrower than both tol and a few ulps (or one no float
-    splits): a Newton split can close the bracket unevenly, and a
-    midpoint merely within tol could lie tol/2 from the root.
+    a bracket narrower than a few ulps (or one no float splits).
     """
     y = 0.5 * (lo + hi)
     last = hi - lo
     for _ in range(120):
-        if not lo < y < hi or hi - lo < min(tol, 2.0 * _NUDGE * hi):
+        if not lo < y < hi or hi - lo < 2.0 * _NUDGE * hi:
             break
         t0, t1 = _terms(p, math.log(y), math.log1p(-y), _exp)
         g = t0 + t1 - 1.0
@@ -637,19 +597,16 @@ def _newton(A: RationalSymmetricMatrix) -> tuple[float, float, float] | None:
     return None
 
 
-# Results of solve_r2 by (A.integers, grid_n, tol): the TbaSolution, or
-# the message of the ScanFailure it raised.  Beyond _SOLVED_CAP entries
-# the oldest goes first.
+# Results of solve_r2 by (A.integers, grid_n): the TbaSolution, or the
+# message of the ScanFailure it raised.  Beyond _SOLVED_CAP entries the
+# oldest goes first.
 _SOLVED: OrderedDict[tuple, TbaSolution | str] = OrderedDict()
 _SOLVED_CAP = 16_384
-# solve_r2's default tol, at which prescan looks for held results
-_TOL = 1e-14
 
 
 def solve_r2(
     A: RationalSymmetricMatrix,
     grid_n: int = 100_000,
-    tol: float = _TOL,
     enforce_range: bool = True,
 ) -> TbaSolution:
     """Solve the r=2 system, reporting all interior solutions found.
@@ -664,18 +621,15 @@ def solve_r2(
     Every other system is scanned: the scan finds every exact zero and
     sign change of the reduced equation on the uniform grid
     y_k = (k+1)/(grid_n+1), k < grid_n, and refines every sign change by
-    Newton-split bisection to a bracket narrower than tol and a few
-    ulps; x is recovered from the second reduced term.  It evaluates
-    every 64th grid point, then only the cells between them that can
-    hold a sign change: a cell is skipped when both terms are monotone
-    on it (their critical points lie elsewhere) and the sums of their
-    end values clear 1 by a relative 1e-9, far above the rounding error;
-    exponents so large that the rounding error could reach the margin
-    (e.g. b = 1/10^33) refine every cell.  The brackets are
-    bit-identical to those of evaluating all grid_n points.  When A was
-    in the last block passed to prescan(..., grid_n), the solve takes
-    that block's scan of A instead of scanning again; the scan is the
-    same either way.  The principal solution is the interior one with
+    Newton-split bisection to a bracket a few ulps wide; x is recovered
+    from the second reduced term.  It evaluates every 64th grid point,
+    then only the cells between them that can hold a sign change: a cell
+    is skipped when both terms are monotone on it (their critical points
+    lie elsewhere) and the sums of their end values clear 1 by a
+    relative 1e-9, far above the rounding error; exponents so large that
+    the rounding error could reach the margin (e.g. b = 1/10^33) refine
+    every cell.  The brackets are bit-identical to those of evaluating
+    all grid_n points.  The principal solution is the interior one with
     smallest y; boundary solutions are listed separately and promoted
     to principal only when nothing interior exists.  Raises
     RangeViolation outside the admissible entry range, DomainError when
@@ -690,34 +644,66 @@ def solve_r2(
     such matrices anyway; outside the range nothing is guaranteed and
     ScanFailure simply means the grid found no sign change.
 
-    The result is a function of A.integers, grid_n and tol alone, so
-    the process keeps it under that key: the last 16 384 results (a
+    The result is a function of A.integers and grid_n alone, so the
+    process keeps it under that key: the last 16 384 results (a
     TbaSolution, or a ScanFailure's message, raised again as a new
-    ScanFailure) are held, and a repeated solve returns the held
-    TbaSolution itself.  The range and grid_n checks run on every call;
-    a DomainError is not held.
+    ScanFailure) are held, prescan's among them, and a repeated solve
+    returns the held TbaSolution itself.  The range and grid_n checks
+    run on every call; a DomainError is not held.
     """
     if grid_n < 1001:
         raise DomainError(f"grid_n must be at least 1001 for reliable root separation, got {grid_n}")
     if enforce_range and not check_range(A):
         raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
-    key = (A.integers, grid_n, tol)
-    held = _SOLVED.get(key)
-    if held is None:
-        try:
-            held = _solve_r2(A, grid_n, tol)
-        except ScanFailure as exc:
-            held = str(exc)
-        _SOLVED[key] = held
-        if len(_SOLVED) > _SOLVED_CAP:
-            _SOLVED.popitem(last=False)
+    held = _held(A, grid_n)
     if type(held) is str:
         raise ScanFailure(held)
     return held
 
 
-def _solve_r2(A: RationalSymmetricMatrix, grid_n: int, tol: float) -> TbaSolution:
-    """solve_r2 of an in-range A (or one whose range is not enforced)."""
+def prescan(matrices, grid_n: int) -> None:
+    """Solve, with one scan, every matrix of matrices that solve_r2 would
+    scan, and hold the results as solve_r2(A, grid_n) would.
+
+    Solving a block of matrices one by one then costs one numpy pass
+    instead of one per matrix.  Matrices with b = 0, the positive
+    semidefinite ones (solved by Newton), the a = d = 0, b = 1/2
+    continuum, the singular a = d = -b, those whose exponents overflow
+    and those already held are skipped.  A row's scan does not depend on
+    its block, so the results are those of solve_r2.
+    """
+    todo, ps = [], []
+    for A in matrices:
+        if A.b != 0 and not _convex(A) and (A.integers, grid_n) not in _SOLVED:
+            try:
+                ps.append(_scanned_exponents(A))
+            except (DomainError, ScanFailure):
+                continue
+            todo.append(A)
+    if ps:
+        for A, scan in zip(todo, _scan_block(ps, grid_n)):
+            _held(A, grid_n, scan)
+
+
+def _held(A: RationalSymmetricMatrix, grid_n: int, scan: _Scan | None = None) -> TbaSolution | str:
+    """The result solve_r2 holds for A at grid_n, computed (from A's scan,
+    if given) and held when it is not held yet."""
+    key = (A.integers, grid_n)
+    held = _SOLVED.get(key)
+    if held is None:
+        try:
+            held = _solve_r2(A, grid_n, scan)
+        except ScanFailure as exc:
+            held = str(exc)
+        _SOLVED[key] = held
+        if len(_SOLVED) > _SOLVED_CAP:
+            _SOLVED.popitem(last=False)
+    return held
+
+
+def _solve_r2(A: RationalSymmetricMatrix, grid_n: int, scan: _Scan | None) -> TbaSolution:
+    """solve_r2 of an in-range A (or one whose range is not enforced),
+    taking the scan of A when it is given."""
     a, b, d, m = A.integers
     interior: list[tuple[float, float]] = []
     boundary: list[tuple[float, float]] = []
@@ -733,9 +719,9 @@ def _solve_r2(A: RationalSymmetricMatrix, grid_n: int, tol: float) -> TbaSolutio
             boundary.append((0.0, 1.0))
         if a == 0 and b > 0:
             boundary.append((1.0, 0.0))
-        roots, flips = _scan(p, grid_n)
+        roots, flips = scan or _scan_block([p], grid_n)[0]
         for lo, hi, glo in flips:
-            roots.append(_bisect_root(p, lo, hi, glo, tol))
+            roots.append(_bisect_root(p, lo, hi, glo))
         roots.sort()
         for yr in roots:
             if interior and abs(yr - interior[-1][1]) < 1e-10:

@@ -341,14 +341,15 @@ def test_constant_conversions_are_pinned():
 
 # sha256 of the stdout of `verify-identities --json --precision P [--cross-check]`;
 # the cross-check pins were re-recorded when positive semidefinite
-# systems moved to Newton (their c moved in the last bits)
+# systems moved to Newton (their c moved in the last bits), and all six
+# when JSON documents became one line
 _PINNED_VERIFY = {
-    ("1e-12", False): "293e4aa7410ec7fcbec7218e0dc8f4e39da6dd35b6ebb2c76749897f52b58a7e",
-    ("1e-12", True): "dac5f5c91155fa535a3eb636ad45844dbc9d6a200930f163bdb6f60c1e124dfa",
-    ("1e-30", False): "c35cdfc27da67ff3ff122f4e72559056d681d389b8b8d76335c697fec562cb02",
-    ("1e-30", True): "668398fe97fc9a0b37a84a7524cf35464831e68602546842a08bf5ddee59d525",
-    ("1e-60", False): "8ded29c874a14eb53f179942dbefc28e07262cba7222a3abf8f88ad2d52b0438",
-    ("1e-60", True): "bc2974d4219ecc5dc68980adf4820f38126ea644befd3e0b26af02d978894cac",
+    ("1e-12", False): "3f13cb3fd23fda919bcf87b57811d4954ba5631b9eddbe40ffacb2e05b27f590",
+    ("1e-12", True): "39e76bf238b7d7e4bd34d4099601aba4c8532d75bc224e75ba997d72c33153f4",
+    ("1e-30", False): "d3ad4655e907c55986a18c041936259d670a71061d72e33e0f4cdc67064f7f6f",
+    ("1e-30", True): "0cbeb50386f6b5517cac232cbbc371c5a472d2d863b9c19fb83552c7442e307e",
+    ("1e-60", False): "4a383417a1540ceb6d5b22282fb9aa3d69f965dbdb7908eb359253e73b02be50",
+    ("1e-60", True): "85124e909e6aacb5378626eaf576b6bc843a0cfe1abdbfe55dca71f559a0cc8b",
 }
 
 

@@ -33,7 +33,7 @@ from dilogtba import (
     solve_r2,
 )
 from dilogtba import tba
-from dilogtba.tba import _exponents, _scan, _scan_block, forces_xy_one, prescan
+from dilogtba.tba import _exponents, _scan_block, forces_xy_one, prescan
 
 RHO = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -242,7 +242,7 @@ def test_no_solution():
 def test_xy_one_matrices_fail_before_the_scan(k):
     A = M(k, -k, k)
     assert forces_xy_one(A)
-    with mock.patch("dilogtba.tba._scan", side_effect=AssertionError("scanned")):
+    with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
         with pytest.raises(ScanFailure, match="forces xy = 1"):
             solve_r2(A, enforce_range=k > 0)
 
@@ -565,7 +565,7 @@ _exponent_tuples = st.tuples(*[st.floats(-40.0, 40.0)] * 4)
 @given(p=_in_range_matrices() | _bumps | _exponent_tuples, n=_grid_ns)
 def test_scan_matches_the_full_grid(p, n):
     # every zero, every bracket and the sign of g at it, bit for bit
-    assert _scan(p, n) == _full_scan(p, n)
+    assert _scan_block([p], n)[0] == _full_scan(p, n)
 
 
 @st.composite
@@ -588,44 +588,44 @@ def test_block_scan_matches_the_full_grid_row_by_row(block, n):
 
 
 # ---------------------------------------------------------------------------
-# the prescan memo
+# prescan: a block of solves from one scan, held by solve_r2
 
 
-@pytest.mark.usefixtures("cold_solver")
 def test_prescan_skips_the_matrices_solve_r2_never_scans():
     # the positive definite (2 1; 1 1), (10^400 1; 1 1) and (1 10^-400;
     # 10^-400 1) go to Newton, and (1 1; 1 1) with D = 0, b > 0 too
     never = [M(1, -1, 1), M(3, 0, 2), M(0, F(1, 2), 0), M(10**400, 1, 1),
              M(1, F(1, 10**400), 1), M(2, 1, 1), M(1, 1, 1)]
-    with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
-        prescan(never, 20_001)
-    assert not tba._PRESCANNED
-    scanned = M(F(1, 20), F(19, 20), F(1, 20))
-    with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
-        prescan(never + [scanned], 20_001)
-    block.assert_called_once_with([_exponents(scanned)], 20_001)
-    assert list(tba._PRESCANNED) == [(_exponents(scanned), 20_001)]
-    prescan((), 20_001)
-    assert not tba._PRESCANNED
+    with mock.patch.object(tba, "_SOLVED", OrderedDict()):
+        with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
+            prescan(never, 20_001)
+        assert not tba._SOLVED
+        scanned = M(F(1, 20), F(19, 20), F(1, 20))
+        with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
+            prescan(never + [scanned], 20_001)
+        block.assert_called_once_with([_exponents(scanned)], 20_001)
+        assert list(tba._SOLVED) == [(scanned.integers, 20_001)]
+        with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
+            assert solve_r2(scanned, grid_n=20_001) is tba._SOLVED[(scanned.integers, 20_001)]
 
 
-@pytest.mark.usefixtures("cold_solver")
 def test_solves_outside_the_prescanned_block_match_the_record():
     recorded = [M(*case[0]) for case in _RECORDED_SCAN_CASES]
-    try:
-        # the recorded matrices at another grid, then a block without them
-        for block in (recorded, [M(F(1, 4), F(1, 4), 0), M(F(1, 2), 1, F(1, 3))]):
+    # the recorded matrices at another grid, then a block without them
+    for block in (recorded, [M(F(1, 4), F(1, 4), 0), M(F(1, 2), 1, F(1, 3))]):
+        with mock.patch.object(tba, "_SOLVED", OrderedDict()):
             prescan(block, 20_000)
             for case in _RECORDED_SCAN_CASES:
                 test_solve_r2_bit_identical_to_recorded(*case)
-            assert len(tba._PRESCANNED) == len({A for A in block if not tba._convex(A)})
-        # each recorded matrix prescanned at its own grid, then solved
-        for case in _RECORDED_SCAN_CASES:
+            assert {key for key in tba._SOLVED if key[1] == 20_000} == \
+                {(A.integers, 20_000) for A in block if not tba._convex(A)}
+    # each recorded matrix prescanned at its own grid, then solved from
+    # the result prescan holds
+    for case in _RECORDED_SCAN_CASES:
+        with mock.patch.object(tba, "_SOLVED", OrderedDict()):
             prescan([M(*case[0])], case[1])
-            test_solve_r2_bit_identical_to_recorded(*case)
-            assert not tba._PRESCANNED
-    finally:
-        prescan((), 20_000)
+            with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
+                test_solve_r2_bit_identical_to_recorded(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +634,18 @@ def test_solves_outside_the_prescanned_block_match_the_record():
 
 def test_prescan_leaves_out_the_matrices_solve_r2_holds():
     held, fresh = M(F(1, 20), F(19, 20), F(1, 20)), M(F(1, 2), 1, F(1, 3))
-    try:
-        with mock.patch.object(tba, "_SOLVED", OrderedDict()):
-            solve_r2(held, grid_n=20_001)
-            with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
-                # the positive definite (2 1; 1 1) is never scanned
-                prescan([held, fresh, M(2, 1, 1)], 20_001)
-                block.assert_called_once_with([_exponents(fresh)], 20_001)
-                # held at 20 001 points only
-                block.reset_mock()
-                prescan([held], 30_001)
-                block.assert_called_once_with([_exponents(held)], 30_001)
-            with mock.patch("dilogtba.tba._scan", side_effect=AssertionError("scanned")):
-                assert solve_r2(held, grid_n=20_001) is tba._SOLVED[(held.integers, 20_001, 1e-14)]
-    finally:
-        prescan((), 20_001)
+    with mock.patch.object(tba, "_SOLVED", OrderedDict()):
+        solve_r2(held, grid_n=20_001)
+        with mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as block:
+            # the positive definite (2 1; 1 1) is never scanned
+            prescan([held, fresh, M(2, 1, 1)], 20_001)
+            block.assert_called_once_with([_exponents(fresh)], 20_001)
+            # held at 20 001 points only
+            block.reset_mock()
+            prescan([held], 30_001)
+            block.assert_called_once_with([_exponents(held)], 30_001)
+        with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
+            assert solve_r2(held, grid_n=20_001) is tba._SOLVED[(held.integers, 20_001)]
 
 
 def _held_or_not(A, grid_n):
@@ -685,7 +682,7 @@ def _solvable_or_not(draw):
 def test_a_held_result_is_the_cold_one(A, grid_n):
     with mock.patch.object(tba, "_SOLVED", OrderedDict()) as held:
         _held_or_not(A, grid_n)
-        assert list(held) == [(A.integers, grid_n, 1e-14)]
+        assert list(held) == [(A.integers, grid_n)]
         warm = _held_or_not(A, grid_n)
     with mock.patch.object(tba, "_SOLVED", OrderedDict()):
         cold = _held_or_not(A, grid_n)
@@ -711,7 +708,7 @@ def test_tiny_b_positive_definite_solves_at_kappa():
 def test_positive_semidefinite_systems_are_not_scanned():
     # D > 0 with b of either sign, and D = 0 with b > 0
     cases = [M(2, 1, 1), M(4, F(-3, 2), 2), M(1, 1, 1), M(F(1, 4), F(1, 2), 1)]
-    with mock.patch("dilogtba.tba._scan", side_effect=AssertionError("scanned")):
+    with mock.patch("dilogtba.tba._scan_block", side_effect=AssertionError("scanned")):
         for A in cases:
             assert tba._convex(A)
             sol = solve_r2(A, grid_n=1001)
@@ -727,9 +724,9 @@ def test_newton_at_its_cap_falls_back_to_the_scan():
     A = M(F(5, 4), 1, 1)
     newton = solve_r2(A, grid_n=20_001)
     with mock.patch.object(tba, "_NEWTON_CAP", 1), \
-            mock.patch("dilogtba.tba._scan", wraps=_scan) as scan:
+            mock.patch("dilogtba.tba._scan_block", wraps=_scan_block) as scan:
         scanned = solve_r2(A, grid_n=20_001)
-    scan.assert_called_once_with(_exponents(A), 20_001)
+    scan.assert_called_once_with([_exponents(A)], 20_001)
     assert scanned.multiplicity == 1 and scanned.residual <= 1e-13
     assert abs(scanned.c - newton.c) <= 1e-13 and abs(scanned.c - 0.6) <= 1e-13
 
