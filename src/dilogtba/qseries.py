@@ -21,8 +21,8 @@ bound.  estimate_ceff() extrapolates the q -> 1 growth
 to eps -> 0 through a linear least-squares fit of
 s(eps) = (6 eps/pi^2) ln chi(e^-eps), whose intercept estimates the
 effective central charge; by duality this matches the dilogarithm sum
-c[A] of the TBA system with the same matrix.  The fit, numpy's polyfit,
-is the module's only numpy use: estimate_ceff imports numpy when it runs.
+c[A] of the TBA system with the same matrix.  The module is pure
+Python: the fit is the centered least-squares line in math.fsum.
 
 The shipped FORMS are the seven catalog characters: three r=1 forms
 (effective charges 2/5, 1/2, 3/5) and four r=2 forms (5/7, 4/5, 3/4,
@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,6 +55,7 @@ __all__ = [
 
 _SAFETY_CAP = 10**6  # expand's largest coordinate
 _SHELL_CAP = {1: 200_000, 2: 5_000}  # eval_at's largest max(m), by rank
+_FLOAT_MIN = sys.float_info.min  # the smallest normal binary64
 
 
 def _as_restriction(res) -> tuple[int, int] | None:
@@ -388,7 +390,8 @@ def expand(form: FermionicForm, order) -> QSeries:
             for n, m in by_outer.get(m1, ()):
                 s += rows[m] << (n - n_lo) * W
         data = (s & class_mask).to_bytes(size * nb, "little")
-        values = [int.from_bytes(data[i:i + nb], "little") for i in range(0, size * nb, nb)]
+        chunks = (data[i:i + nb] for i in range(0, size * nb, nb))
+        values = map(int.from_bytes, chunks, itertools.repeat("little"))
         coeffs.update(zip(range(res + n_lo * L, top + 1, L), values))  # QSeries drops the zeros
 
     return QSeries(denom=L, coeffs=coeffs, order=order)
@@ -401,32 +404,54 @@ def expand(form: FermionicForm, order) -> QSeries:
 def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     """Numeric value of the fermionic sum at real q in (0, 1).
 
-    Terms are grouped into shells by max(m), each shell walked in
-    row-major order with the same loop for every rank; each exponent is
-    the exact integer L (lead + m.A m + B.m) divided by L once, so it
-    is the correctly rounded float of the rational exponent.  The tail
-    test compares sums over whole periods of P consecutive shells, P
-    the lcm of the restriction moduli (P = 1 without restrictions), so
-    a congruence that thins every other shell cannot fake a fast
-    decay.  With cutoff=None, shells are added until the geometric
-    tail bound (last period sum times ratio/(1-ratio), ratio between
-    the last two period sums) falls below 1e-14 of the partial sum, or
-    until a period sums to 0.0 and no later shell holds a term that
-    escapes underflow (tail exactly 0; the sum may be 0.0 too); an explicit
-    cutoff sums m <= cutoff and still requires the tail to be certified
-    by one of the two.  Either way at most max(m) = 200 000 (r = 1) or
-    5 000 (r = 2) is summed.  TailBoundError reports failures.
+    Terms are grouped into shells by max(m).  A row is the line of
+    points with fixed m_1..m_(r-1) (the one row () for r = 1); each
+    allowed row is kept once, in order of first reach, as the exact
+    integer lead + L (m.A m + B.m) at m_r = 0, its slope in m_r and
+    its divisor (q)_(m_1) ((q)_0 = 1.0 for r = 1).  Shell M adds, when
+    m_r = M is allowed, every older row's term at m_r = M in row order,
+    then the row first reached at M (m_1 = M for r = 2; r = 1 at M = 0
+    only) at its allowed m_r = 0..M.  A term is exp(ln q * e / L),
+    divided by its row's divisor and then by (q)_(m_r), where
+    e = L (lead + m.A m + B.m) is the exact integer exponent, so e / L
+    is the correctly rounded float of the rational exponent.
+
+    The tail test compares sums over whole periods of P consecutive
+    shells, P the lcm of the restriction moduli (P = 1 without
+    restrictions), so a congruence that thins every other shell cannot
+    fake a fast decay.  With cutoff=None, shells are added until the
+    geometric tail bound (last period sum times ratio/(1-ratio), ratio
+    between the last two period sums) falls below 1e-14 of the partial
+    sum, or until a period sums to 0.0 and no later shell holds a term
+    that escapes underflow (tail exactly 0; the sum may be 0.0 too); an
+    explicit cutoff, an int >= 0, sums m <= cutoff and still requires
+    the tail to be certified by one of the two.  Either way at most
+    max(m) = 200 000 (r = 1) or 5 000 (r = 2) is summed.
+    TailBoundError reports failures.
+
+    The sum is taken in binary64, which bounds how close q may come to
+    1: (q)_n falls toward (q)_inf ~ exp(-pi^2 / (6 eps)) at q = e^-eps,
+    below the normal range once eps < 0.0023, and the sum grows like
+    exp(pi^2 c / (6 eps)).  DomainError is raised when a (q)_n the walk
+    reaches is below the smallest normal float or the running sum
+    overflows, rather than return a value that has lost its digits.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must be in (0,1), got {q}")
+    if cutoff is not None and (
+        not isinstance(cutoff, int) or isinstance(cutoff, bool) or cutoff < 0
+    ):
+        raise DomainError(f"cutoff must be None or an int >= 0, got {cutoff!r}")
     _check_terminates(form)
 
     L, Q, Bn, lead = form.exponent_numerators()
     r, d = len(Bn), Q[-1][-1]
-    rows: dict[tuple[int, ...], tuple] = {}  # outer -> (lead + base, t, its (q)_(m_i)) or ()
+    a, b = Q[0][0], Q[0][-1]  # Q's first row (times m_1 = 0 for r = 1)
+    rows: list[tuple[int, int, float]] = []  # (lead + base, t, (q)_(m_1)) by first reach
     step, first = (form.restrictions or (None,) * r)[-1] or (1, 0)  # m_r = first mod step
     period = math.lcm(*(res[0] for res in form.restrictions or () if res is not None))
     lnq = math.log(q)
+    exp = math.exp
     hard_cap = _SHELL_CAP[r]
     limit = min(cutoff, hard_cap) if cutoff is not None else hard_cap
 
@@ -439,24 +464,27 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     M = 0
     while M <= limit:
         if M > 0:
-            poch.append(poch[-1] * (1.0 - q ** M))
+            p = poch[-1] * (1.0 - q ** M)
+            if p < _FLOAT_MIN:
+                raise DomainError(
+                    f"q too close to 1 for binary64: (q)_{M} = {p!r} at q = {q!r} "
+                    "is below the normal range"
+                )
+            poch.append(p)
         shell = 0.0
-        edge = (M,) if M % step == first else ()  # rows with outer < M hold m_r = M only
-        for outer in itertools.product(range(M + 1) if edge else (M,), repeat=r - 1):
-            row = rows.get(outer)
-            if row is None:
-                base, t = _row(Q, Bn, outer)
-                allowed = _allowed(form, outer)
-                row = rows[outer] = (lead + base, t, [poch[mi] for mi in outer]) if allowed else ()
-            if not row:
-                continue
-            shift, t, divisors = row
-            for y in range(first, M + 1, step) if M in outer else edge:
-                term = math.exp(lnq * ((shift + (d * y + t) * y) / L))
-                for p in divisors:
-                    term /= p
-                shell += term / poch[y]
+        if M % step == first:
+            pM, dM = poch[M], d * M
+            for shift, t, div in rows:
+                shell += exp(lnq * ((shift + (dM + t) * M) / L)) / div / pM
+        if form.allows(0, M) if r == 2 else M == 0:  # a row first reached at M
+            row = (lead + (a * M + Bn[0]) * M, 2 * b * M + Bn[-1], poch[M])
+            shift, t, div = row
+            for y in range(first, M + 1, step):
+                shell += exp(lnq * ((shift + (d * y + t) * y) / L)) / div / poch[y]
+            rows.append(row)
         total += shell
+        if total == math.inf:
+            raise DomainError(f"q too close to 1 for binary64: the sum overflows at q = {q!r}")
         block += shell
         if (M + 1) % period == 0:
             if block == 0.0:
@@ -489,8 +517,6 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     )
 
 
-
-
 def _ceff_samples(eps_list) -> list[float]:
     """The distinct eps values of estimate_ceff, descending.
 
@@ -510,8 +536,11 @@ def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> flo
     """Extrapolated effective central charge from the q -> 1 growth.
 
     For each eps, s(eps) = (6 eps / pi^2) ln chi(e^-eps); a linear
-    least-squares fit in eps is extrapolated to eps = 0.  Requires at
-    least 3 distinct eps values in (0.02, 0.3).
+    least-squares fit in eps is extrapolated to eps = 0: with means
+    x_bar of eps and s_bar of s, slope = sum((eps - x_bar)(s - s_bar)) /
+    sum((eps - x_bar)^2) and the estimate is s_bar - slope x_bar, each
+    sum taken by math.fsum.  Requires at least 3 distinct eps values in
+    (0.02, 0.3).
     """
     eps = _ceff_samples(eps_list)
     s_vals = []
@@ -520,10 +549,13 @@ def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> flo
         if val <= 0.0:
             raise TailBoundError(f"series value {val} at eps={e} is not positive")
         s_vals.append(6.0 * e / math.pi**2 * math.log(val))
-    import numpy as np
-
-    slope, intercept = np.polyfit(np.array(eps), np.array(s_vals), 1)
-    return float(intercept)
+    # Centering s as well as eps keeps the rounding of x_bar out of the
+    # slope: centering eps alone lost up to 237 ulps on narrow sets such
+    # as 0.29/0.28/0.27.
+    x_bar, s_bar = math.fsum(eps) / len(eps), math.fsum(s_vals) / len(eps)
+    dx = [x - x_bar for x in eps]
+    slope = math.fsum(u * (v - s_bar) for u, v in zip(dx, s_vals)) / math.fsum(u * u for u in dx)
+    return s_bar - slope * x_bar
 
 
 # ---------------------------------------------------------------------------

@@ -798,6 +798,7 @@ def test_cli_import_loads_every_module_but_neither_numpy_nor_mpmath():
     (["--version"], False, False),
     (["recognize", "0.5714285714"], False, False),
     (["expand", "chi_2_5"], False, False),
+    (["ceff-estimate", "chi_2_5"], False, False),
     (["bounds", "-A", "2", "1", "1"], False, False),
     (["classify", "-A", "2", "1", "1"], False, False),
     (["verify-identities", "--precision", "1e-12"], False, False),

@@ -18,11 +18,13 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from dilogtba import qseries
 from dilogtba.errors import (
     DomainError,
     NonTerminatingSeries,
@@ -40,6 +42,7 @@ from dilogtba.qseries import (
     restricted_variant,
     unrestricted_variant,
 )
+from dilogtba.qseries import _SHELL_CAP, _allowed, _check_terminates, _points, _row
 from dilogtba.tba import RationalSymmetricMatrix
 
 F = Fraction
@@ -270,29 +273,32 @@ def test_expansion_matches_per_point_reference_on_random_forms():
 
 # sha256 of the expansions to orders 40, 121 and 240 (to_text, joined),
 # and float.hex of eval_at at q = 0.05, 0.2, 0.29 and of the default
-# estimate_ceff, recorded before the two ranks shared one kernel
+# estimate_ceff, recorded before the two ranks shared one kernel; the
+# estimates were re-recorded when the fit became the centered fsum
+# least-squares line (numpy's polyfit before), each within 1 ulp of the
+# exact least-squares intercept of the same samples
 _RECORDED = {
     "chi_2_5": ("3085584f3da32b0be303a555728f3ea851e2aeb0507a3bac9564be0c39333de5",
                 ("0x1.2868519a44291p-1", "0x1.9044386469e08p-1", "0x1.c8c0d83549378p-1",
-                 "0x1.999999999999ap-2")),
+                 "0x1.999999999999bp-2")),
     "chi_3_4": ("825f3360efa2a4516e506d5a4e34a525d7f3ed6403380f1c3acbeeb9eeb6fb18",
                 ("0x1.befa6fb260687p-1", "0x1.23cee526f18e6p+0", "0x1.56d460618fce9p+0",
-                 "0x1.00125c51a5653p-1")),
+                 "0x1.00125c51a5654p-1")),
     "chi_3_5": ("575a00c120cbb69d7fd18030a1e0e0cce7cc97a11b4aeb26c0b8dd2aec767075",
                 ("0x1.7097014913f2ap+0", "0x1.065506dc6bd63p+1", "0x1.41434050b3244p+1",
-                 "0x1.335f43f7268cdp-1")),
+                 "0x1.335f43f7268cep-1")),
     "chi_3_7": ("0502bf335404ef0b7294c7d529298f8ff21c430edd0fbcdd1e086c85e52472d2",
                 ("0x1.09605346a071ap+0", "0x1.4ad0d8f5480bdp+0", "0x1.8aaf198894f3bp+0",
-                 "0x1.6db43b4d5e0a2p-1")),
+                 "0x1.6db43b4d5e0a3p-1")),
     "chi_5_6": ("1e966bbb70d3100978444cbb51cc3748704fb77542f3ca87777f8868f784baf6",
                 ("0x1.15034588e0a12p+0", "0x1.54b1e15c2e561p+0", "0x1.98e06f4807b5bp+0",
-                 "0x1.997ba16b20895p-1")),
+                 "0x1.997ba16b20897p-1")),
     "chi_3_8": ("13d9eb5f8c5397f4d82038616cebee6dfc4bf5e6c770f92594892fa9d507444c",
                 ("0x1.7395f86d8b0fdp-1", "0x1.12e5617a943d7p+0", "0x1.5aa63aa14ca83p+0",
-                 "0x1.7fffffffffffdp-1")),
+                 "0x1.7fffffffffffep-1")),
     "chi_4_5": ("6c34e2765a9e755e9cebc4acaaea149a1116ce5f74ad704b7b5cb2bcf0f52c7d",
                 ("0x1.07857d8058fcfp+0", "0x1.4ba801e50b960p+0", "0x1.9049a61e94cd9p+0",
-                 "0x1.66666665a95ebp-1")),
+                 "0x1.66666665a95edp-1")),
 }
 
 
@@ -513,13 +519,16 @@ def test_eval_at_explicit_cutoff_agrees():
     assert abs(eval_at(FORMS["chi_2_5"], 0.3, cutoff=100) - full) < 1e-13
 
 
-@pytest.mark.parametrize("form", [
+_UNDERFLOW_TAIL_FORMS = [
     FermionicForm(
         A=RationalSymmetricMatrix(F(5, 3), F(7, 6), 3), B=(2, F(1, 3)), lead=F(7, 10),
         restrictions=((3, 2), (4, 1)),
     ),
     FermionicForm(A=F(5), B=(F(0),), restrictions=((12, 1),)),
-])
+]
+
+
+@pytest.mark.parametrize("form", _UNDERFLOW_TAIL_FORMS)
 def test_eval_at_certifies_an_underflowed_tail(form):
     # The second period of shells (12 long) already sums to exactly 0.0
     # at q = 0.1, so the ratio of period sums never certifies the tail;
@@ -543,6 +552,169 @@ def test_eval_at_returns_zero_when_every_term_underflows():
 def test_eval_at_tiny_cutoff_fails_tail_bound():
     with pytest.raises(TailBoundError):
         eval_at(FORMS["chi_2_5"], 0.9, cutoff=3)
+
+
+def test_eval_at_rejects_a_cutoff_that_is_not_a_count():
+    # nan once failed "after max(m)=nan", 2.5 acted as 2, and -1 and
+    # True were taken
+    for bad in (math.nan, 2.5, 3.0, -1, True, "3"):
+        with pytest.raises(DomainError, match="cutoff"):
+            eval_at(FORMS["chi_2_5"], 0.3, cutoff=bad)
+    want = _reference_eval_at(FORMS["chi_2_5"], 0.3, 100)
+    assert eval_at(FORMS["chi_2_5"], 0.3, cutoff=100) == want
+
+
+# ---------------------------------------------------------------------------
+# eval_at against the shell loop it replaced
+
+
+def _reference_eval_at(form, q, cutoff=None):
+    """eval_at as it was before the row walk, kept as the oracle.
+
+    Each shell M walks itertools.product over the outer points, looks
+    each row up by its tuple and divides every term by its divisors in
+    a loop; eval_at's row walk must give the same float, bit for bit,
+    and raise the same exceptions.
+    """
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must be in (0,1), got {q}")
+    _check_terminates(form)
+
+    L, Q, Bn, lead = form.exponent_numerators()
+    r, d = len(Bn), Q[-1][-1]
+    rows = {}  # outer -> (lead + base, t, its (q)_(m_i)) or ()
+    step, first = (form.restrictions or (None,) * r)[-1] or (1, 0)  # m_r = first mod step
+    period = math.lcm(*(res[0] for res in form.restrictions or () if res is not None))
+    lnq = math.log(q)
+    hard_cap = _SHELL_CAP[r]
+    limit = min(cutoff, hard_cap) if cutoff is not None else hard_cap
+
+    poch = [1.0]  # (q)_n
+    total = 0.0
+    block = 0.0  # sum of the shells in the current period
+    prev_block = None
+    tail = math.inf
+    last = None  # largest max(m) whose terms may not underflow
+    M = 0
+    while M <= limit:
+        if M > 0:
+            poch.append(poch[-1] * (1.0 - q ** M))
+        shell = 0.0
+        edge = (M,) if M % step == first else ()  # rows with outer < M hold m_r = M only
+        for outer in itertools.product(range(M + 1) if edge else (M,), repeat=r - 1):
+            row = rows.get(outer)
+            if row is None:
+                base, t = _row(Q, Bn, outer)
+                allowed = _allowed(form, outer)
+                row = rows[outer] = (lead + base, t, [poch[mi] for mi in outer]) if allowed else ()
+            if not row:
+                continue
+            shift, t, divisors = row
+            for y in range(first, M + 1, step) if M in outer else edge:
+                term = math.exp(lnq * ((shift + (d * y + t) * y) / L))
+                for p in divisors:
+                    term /= p
+                shell += term / poch[y]
+        total += shell
+        block += shell
+        if (M + 1) % period == 0:
+            if block == 0.0:
+                if last is None:
+                    room = math.ceil(746.0 * L / -lnq) - lead
+                    shells = (max((*outer, m)) for outer, m, _ in _points(form, room))
+                    last = max(shells, default=-1)
+                if M >= last:
+                    return total
+            elif prev_block is not None and 0.0 < block < prev_block:
+                ratio = block / prev_block
+                tail = block * ratio / (1.0 - ratio)
+                if cutoff is None and tail <= 1e-14 * abs(total):
+                    return total
+            prev_block, block = block, 0.0
+        M += 1
+
+    if cutoff is not None and tail <= 1e-14 * abs(total):
+        return total
+    raise TailBoundError(
+        f"tail bound {tail:.3e} not below 1e-14 of the sum after max(m)={min(limit, M - 1)}; "
+        "increase the cutoff"
+    )
+
+
+def _eval_outcome(fn, form, q, cutoff):
+    """float.hex of the value, or the exception's type and message."""
+    try:
+        return fn(form, q, cutoff).hex()
+    except (ValueError, ArithmeticError, TailBoundError) as exc:
+        return type(exc), str(exc)
+
+
+def _first_subnormal_pochhammer(q, n_max):
+    """The least n <= n_max whose (q)_n, formed as eval_at forms it,
+    is below the normal range, or None."""
+    p = 1.0
+    for n in range(1, n_max + 1):
+        p *= 1.0 - q ** n
+        if p < sys.float_info.min:
+            return n
+    return None
+
+
+def _assert_matches_the_reference(form, q, cutoff):
+    got = _eval_outcome(eval_at, form, q, cutoff)
+    if isinstance(got, tuple) and got[0] is DomainError and "binary64" in got[1]:
+        # the reference reached a subnormal (q)_n (or an infinite sum) and
+        # went wrong there; the row walk stops at that (q)_n instead
+        assert _first_subnormal_pochhammer(q, _SHELL_CAP[form.r]) is not None, (form, q, cutoff)
+    else:
+        assert got == _eval_outcome(_reference_eval_at, form, q, cutoff), (form, q, cutoff)
+    return got
+
+
+def test_eval_at_matches_the_reference_on_random_forms():
+    # both ranks, restricted or not, q over (0.005, 0.99) with e^-eps
+    # for eps down to 0.012, and every kind of cutoff
+    rng = random.Random(25)
+    seen = set()
+    for i in range(240):
+        form = _random_form(rng)
+        if i % 2:
+            q = rng.uniform(0.005, 0.99)
+        else:
+            q = math.exp(-rng.uniform(0.012, 0.3))
+        cutoff = rng.choice((None, 0, 3, 20, 60))
+        got = _assert_matches_the_reference(form, q, cutoff)
+        restricted = any(res is not None and res[0] > 1 for res in form.restrictions or ())
+        seen.add((form.r, restricted, got[0] if isinstance(got, tuple) else float))
+    assert seen >= {(1, False, float), (1, True, float), (2, False, float), (2, True, float),
+                    (1, False, TailBoundError), (2, False, TailBoundError)}
+
+
+@pytest.mark.parametrize("form", [*_UNDERFLOW_TAIL_FORMS, *FORMS.values()])
+def test_eval_at_matches_the_reference_on_the_catalog_and_underflowed_tails(form):
+    for q in (0.005, 0.1, 0.5, 0.9, math.exp(-0.04), math.exp(-0.012)):
+        for cutoff in (None, 0, 3, 20, 60):
+            _assert_matches_the_reference(form, q, cutoff)
+
+
+def test_eval_at_refuses_q_too_close_to_1_for_binary64():
+    # (q)_n leaves the normal range from n = 468 at e^-0.0015, and the
+    # old walk went on with it: chi_3_5 read 3.617e279 against a true
+    # 6.832e285 and chi_3_4 was off by 2.8e-4; chi_5_6 at e^-0.0018 and
+    # the rank-2 forms at e^-0.0016 summed to inf, and every form at
+    # e^-0.0012 divided by a (q)_n that had underflowed to 0.0
+    cases = [("chi_3_5", 0.0015), ("chi_3_4", 0.0015), ("chi_5_6", 0.0018)]
+    cases += [(name, 0.0016) for name, form in FORMS.items() if form.r == 2]
+    cases += [(name, 0.0012) for name in FORMS]
+    for name, eps in cases:
+        with pytest.raises(DomainError, match="q too close to 1 for binary64"):
+            eval_at(FORMS[name], math.exp(-eps))
+    # no form reaches the limit at eps = 0.002, where the values are the
+    # old walk's
+    for form in FORMS.values():
+        q = math.exp(-0.002)
+        assert math.isfinite(eval_at(form, q))
+        assert eval_at(form, q).hex() == _reference_eval_at(form, q).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +792,37 @@ def test_estimate_ceff_matches_known_charges():
     for name in ("chi_2_5", "chi_3_8"):
         est = estimate_ceff(FORMS[name])
         assert abs(est - float(FORM_SYSTEMS[name][1])) < 1e-3, name
+
+
+def test_estimate_ceff_is_the_exact_least_squares_line_to_2_ulp(monkeypatch):
+    # on seeded eps sets, narrow ones such as 0.29/0.28/0.27 among them,
+    # against the intercept of the least-squares line through the same
+    # float samples s(eps), computed in rationals, in ulps of the largest
+    # sample (polyfit was up to 12 ulp off on these sets, and a fit that
+    # centers eps but not s up to 237)
+    rng = random.Random(7)
+    coeffs = {}
+
+    def fake_eval_at(form, q):
+        c, k1, k2 = coeffs["now"]
+        e = -math.log(q)
+        return math.exp(math.pi**2 * (c + k1 * e + k2 * e * e) / (6 * e))
+
+    monkeypatch.setattr(qseries, "eval_at", fake_eval_at)
+    for _ in range(300):
+        coeffs["now"] = (rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(-1, 1))
+        eps = sorted({round(rng.uniform(0.025, 0.294), rng.choice((2, 3, 6)))
+                      for _ in range(rng.randint(3, 8))}, reverse=True)
+        if len(eps) < 3:
+            continue
+        s = [F(6.0 * e / math.pi**2 * math.log(fake_eval_at(None, math.exp(-e)))) for e in eps]
+        x = [F(e) for e in eps]
+        x_bar, s_bar = sum(x) / len(x), sum(s) / len(s)
+        slope = (sum((u - x_bar) * v for u, v in zip(x, s))
+                 / sum((u - x_bar) ** 2 for u in x))
+        exact = s_bar - slope * x_bar
+        got = estimate_ceff(FORMS["chi_2_5"], eps_list=eps)
+        assert abs(F(got) - exact) <= 2 * F(math.ulp(max(map(abs, s)))), (eps, coeffs["now"])
 
 
 def test_estimate_ceff_eps_validation():
