@@ -9,7 +9,7 @@ on Python ints: the square-free part and the Sturm chain come from
 _prem and _primitive, _isign gives the sign of den^n P(num/den), and
 refine keeps its bracket as two integers over one common denominator.
 Everything is exact until a caller asks for a float or an mpf; to_mpf
-imports mpmath, on first use.
+rounds once at its own dps through mpmath.libmp (imported on first use).
 
 The module also names the constants of the dilogarithm identity catalog;
 constant(name) isolates and caches one root on first use, and CONSTANTS,
@@ -32,6 +32,7 @@ means c0 + c1 t + ... + cn t^n.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -55,6 +56,13 @@ def _rational(v, what: str) -> Fraction:
         return Fraction(v)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"{what} must be a finite rational, got {v!r}") from exc
+
+
+def _checked_dps(dps) -> int:
+    """dps itself; DomainError unless it is an int of at least 1 (a bool is not)."""
+    if isinstance(dps, bool) or not isinstance(dps, int) or dps < 1:
+        raise DomainError(f"dps must be an integer of at least 1, got {dps!r}")
+    return dps
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +202,12 @@ class AlgebraicNumber:
     polynomial changes sign between the endpoints, so the interval
     contains exactly one simple root.  The interval narrows in place as
     refinements are requested (it only ever shrinks, so the represented
-    number never changes and sharing across threads stays safe).  When a
-    bisection point happens to hit the root exactly, the exact rational
-    value is remembered and returned by the float/mpf conversions.
+    number never changes; a per-number lock makes each refinement atomic,
+    so threads may share a number).  When a bisection point hits the root,
+    the exact rational value is remembered and the conversions return it.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_exact")
+    __slots__ = ("poly", "lo", "hi", "_exact", "_lock")
 
     def __init__(self, poly: IntegerPolynomial, lo, hi):
         lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
@@ -209,6 +217,7 @@ class AlgebraicNumber:
         self.lo = lo
         self.hi = hi
         self._exact: Fraction | None = None
+        self._lock = threading.Lock()
         slo = _isign(poly.coeffs, *lo.as_integer_ratio())
         shi = _isign(poly.coeffs, *hi.as_integer_ratio())
         if slo == 0 or shi == 0 or slo == shi:
@@ -219,50 +228,45 @@ class AlgebraicNumber:
         eps = _rational(eps, "eps")
         if eps <= 0:
             raise DomainError("eps must be positive")
-        if self.hi - self.lo <= eps:
+        with self._lock:
+            if self.hi - self.lo <= eps:
+                return (self.lo, self.hi)
+            if self._exact is None:
+                # bisect [L/D, H/D]: doubling L, H and D makes the midpoint (L + H) // 2
+                D = lcm(self.lo.denominator, self.hi.denominator)
+                L, H = int(self.lo * D), int(self.hi * D)
+                slo = _isign(self.poly.coeffs, L, D)
+                while (H - L) * eps.denominator > eps.numerator * D:
+                    L, H, D = 2 * L, 2 * H, 2 * D
+                    M = (L + H) // 2
+                    sm = _isign(self.poly.coeffs, M, D)
+                    if sm == 0:
+                        self._exact = Fraction(M, D)
+                        break
+                    if sm == slo:
+                        L = M
+                    else:
+                        H = M
+                self.lo, self.hi = Fraction(L, D), Fraction(H, D)
+            if self._exact is not None and self.hi - self.lo > eps:
+                # keep a sign-change bracket of the requested width
+                w = eps / 4
+                self.lo = max(self.lo, self._exact - w)
+                self.hi = min(self.hi, self._exact + w)
             return (self.lo, self.hi)
-        if self._exact is None:
-            # bisect [L/D, H/D]: doubling L, H and D makes the midpoint (L + H) // 2
-            D = lcm(self.lo.denominator, self.hi.denominator)
-            L, H = int(self.lo * D), int(self.hi * D)
-            slo = _isign(self.poly.coeffs, L, D)
-            while (H - L) * eps.denominator > eps.numerator * D:
-                L, H, D = 2 * L, 2 * H, 2 * D
-                M = (L + H) // 2
-                sm = _isign(self.poly.coeffs, M, D)
-                if sm == 0:
-                    self._exact = Fraction(M, D)
-                    break
-                if sm == slo:
-                    L = M
-                else:
-                    H = M
-            self.lo, self.hi = Fraction(L, D), Fraction(H, D)
-        if self._exact is not None and self.hi - self.lo > eps:
-            # keep a sign-change bracket of the requested width
-            w = eps / 4
-            self.lo = max(self.lo, self._exact - w)
-            self.hi = min(self.hi, self._exact + w)
-        return (self.lo, self.hi)
 
     def to_float(self) -> float:
         """Correctly rounded to double for all catalog-scale roots."""
-        self.refine(Fraction(1, 10**20))
-        if self._exact is not None:
-            return float(self._exact)
-        return float((self.lo + self.hi) / 2)
+        lo, hi = self.refine(Fraction(1, 10**20))
+        return float(self._exact if self._exact is not None else (lo + hi) / 2)
 
     def to_mpf(self, dps: int = 50):
-        if not isinstance(dps, int) or dps < 1:
-            raise DomainError(f"dps must be an integer of at least 1, got {dps!r}")
-        from mpmath import mp
+        from mpmath import libmp, mp
 
-        self.refine(Fraction(1, 10 ** (dps + 5)))
-        mid = self._exact if self._exact is not None else (self.lo + self.hi) / 2
-        with mp.workdps(dps + 10):
-            v = mp.mpf(mid.numerator) / mp.mpf(mid.denominator)
-        with mp.workdps(dps):
-            return +v
+        lo, hi = self.refine(Fraction(1, 10 ** (_checked_dps(dps) + 5)))
+        mid = self._exact if self._exact is not None else (lo + hi) / 2
+        return mp.make_mpf(libmp.from_rational(
+            mid.numerator, mid.denominator, libmp.dps_to_prec(dps), libmp.round_nearest))
 
     def __float__(self) -> float:
         return self.to_float()

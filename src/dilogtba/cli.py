@@ -335,6 +335,8 @@ def _cmd_verify_identities(args) -> int:
                 entries = parse_catalog(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise _InputError(f"cannot read catalog {args.catalog!r}: {exc}") from None
+        if not entries:
+            raise _InputError(f"catalog {args.catalog!r} holds no identity record")
     else:
         entries = load_catalog()
     precision = args.precision

@@ -13,8 +13,8 @@ geometrically convergent, and uses the reflection property
 for x > 1/2, which avoids the logarithmic singularity of the series
 representation near 1.  rogers_L does so in binary64; rogers_L_mp, the
 high-precision oracle, in integer fixed point on the exact argument.
-mpmath is imported inside rogers_L_mp and _unit_ratio, on first use, so
-a process that only needs binary64 values never loads it.
+rogers_L_mp works at its own dps, never at mpmath's global precision; it
+imports mpmath on first use, so binary64-only processes never load it.
 
 Special values (exact):
 
@@ -31,8 +31,8 @@ is supposed to satisfy.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
+from .algebraics import _checked_dps, _rational
 from .errors import DomainError
 
 __all__ = ["rogers_L", "rogers_L_mp", "check_reflection", "check_duplication", "check_five_term"]
@@ -115,17 +115,16 @@ def check_five_term(x, y) -> float:
     return abs(lhs - rhs)
 
 
-def _unit_ratio(x, dps: int) -> tuple[int, int]:
+def _unit_ratio(x) -> tuple[int, int]:
     """(n, d) with n/d = x exactly, 0 <= n <= d and d > 0.
 
-    Fractions, ints, floats and mpfs convert exactly; anything else
-    (a decimal string, say) goes through mpf at dps + 10 digits first.
+    Ints, floats and mpfs convert as they are; anything else goes through
+    Fraction(x), also exact, or raises DomainError if Fraction cannot read it.
     """
     import mpmath
 
-    if not isinstance(x, (int, float, Fraction, mpmath.mpf)):
-        with mpmath.workdps(dps + 10):
-            x = mpmath.mpf(x)
+    if not isinstance(x, (int, float, mpmath.mpf)):
+        x = _rational(x, "argument")
     if not 0 <= x <= 1:  # also rejects nan
         raise DomainError(f"argument {x!r} outside [0, 1]")
     if isinstance(x, mpmath.mpf):
@@ -137,7 +136,9 @@ def _unit_ratio(x, dps: int) -> tuple[int, int]:
 def rogers_L_mp(x, dps: int = 200):
     """High-precision L(x) as an mpf of `dps` digits, for x in [0, 1].
 
-    `x` may be an mpf, float, int, or Fraction, all taken exactly.
+    `x` may be an mpf, float, int, or anything Fraction reads (a Fraction,
+    a Decimal, "3/10"), all taken exactly; DomainError for anything else,
+    x outside [0, 1], or a dps that is not an int of at least 1.
     This is the reference oracle of the test suite and of the
     high-precision identity verification; it shares no code with the
     binary64 path.
@@ -174,11 +175,11 @@ def rogers_L_mp(x, dps: int = 200):
     import mpmath
 
     lib = mpmath.libmp
-    n, d = _unit_ratio(x, dps)
+    prec = lib.dps_to_prec(_checked_dps(dps))
+    n, d = _unit_ratio(x)
     flip = 2 * n > d
     if flip:
         n = d - n
-    prec = lib.dps_to_prec(dps)
     if n == 0:
         return mpmath.mp.make_mpf(lib.from_int(int(flip), prec))
     bits = lib.dps_to_prec(dps + 10) + 20

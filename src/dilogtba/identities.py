@@ -43,20 +43,21 @@ digits, the residual is the same whatever ran before (barring an L value
 within about 2^-40 units of a rounding midpoint).  This is the
 refine-in-place rule algebraics.AlgebraicNumber follows for the
 constants.  cross_check_tba() keeps its result on the entry as well.
-Only the mp branches of evaluate_expression and verify import mpmath,
-on first use.
+The mp paths round at explicit precisions through mpmath.libmp (imported
+on first use), never at mpmath's global one, so threads may verify at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .algebraics import constant
+from .algebraics import _checked_dps, constant
 from .dilog import rogers_L, rogers_L_mp
 from .errors import CatalogError, DomainError
 from .tba import RationalSymmetricMatrix, solve_r2
@@ -173,61 +174,59 @@ def parse_expression(text: str):
     return node
 
 
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def evaluate_expression(node, mode: str = "float", dps: int = 50):
-    """Evaluate an AST in binary64 (mode="float") or mpmath (mode="mp").
+    """Evaluate an AST in binary64 (mode="float") or at dps digits (mode="mp").
 
     Constants resolve through module algebraics: isolating intervals
-    are refined to width 1e-20 (float) or 10^-(dps+5) (mp) first.
+    are refined to width 1e-20 (float) or 10^-(dps+5) (mp) first.  mp
+    rounds each leaf and operation at dps digits (an int >= 1) through
+    mpmath.libmp, never at mpmath's global precision, and returns an mpf.
     """
     if mode == "float":
-        def leaf_num(fr):  return float(fr)
-        def leaf_const(nm): return constant(nm).to_float()
-        def do_sqrt(v):
-            if v < 0:
-                raise DomainError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
+        def num(fr): return float(fr)
+        def const(nm): return constant(nm).to_float()
+        # sign(v) < 0 tests v < 0 in either mode
+        sign, neg, power, sqrt, binary = float, operator.neg, operator.pow, math.sqrt, _FLOAT_OPS
     elif mode == "mp":
-        import mpmath
+        from mpmath import libmp as lib, mp
 
-        def leaf_num(fr):  return mpmath.mpf(fr.numerator) / fr.denominator
-        def leaf_const(nm): return constant(nm).to_mpf(dps)
-        def do_sqrt(v):
-            if v < 0:
-                raise DomainError(f"sqrt of negative value {v}")
-            return mpmath.sqrt(v)
+        prec, rnd = lib.dps_to_prec(_checked_dps(dps)), lib.round_nearest
+        def rounded(f): return lambda *args: f(*args, prec, rnd)
+        def num(fr): return lib.from_rational(fr.numerator, fr.denominator, prec, rnd)
+        def const(nm): return constant(nm).to_mpf(dps)._mpf_
+        sign, neg = lib.mpf_sign, lib.mpf_neg
+        power, sqrt = rounded(lib.mpf_pow_int), rounded(lib.mpf_sqrt)
+        binary = {"+": rounded(lib.mpf_add), "-": rounded(lib.mpf_sub),
+                  "*": rounded(lib.mpf_mul), "/": rounded(lib.mpf_div)}
     else:
         raise ValueError(f"mode must be 'float' or 'mp', got {mode!r}")
 
     def ev(n):
         kind = n[0]
         if kind == "num":
-            return leaf_num(n[1])
+            return num(n[1])
         if kind == "const":
             try:
-                return leaf_const(n[1])
+                return const(n[1])
             except DomainError as exc:
                 raise CatalogError(f"unresolvable constant {n[1]!r}") from exc
         if kind == "neg":
-            return -ev(n[1])
+            return neg(ev(n[1]))
         if kind == "sqrt":
-            return do_sqrt(ev(n[1]))
+            v = ev(n[1])
+            if sign(v) < 0:
+                raise DomainError(f"sqrt of a negative value: {n[1]!r}")
+            return sqrt(v)
         if kind == "^":
-            return ev(n[1]) ** n[2]
-        a, b = ev(n[1]), ev(n[2])
-        if kind == "+":
-            return a + b
-        if kind == "-":
-            return a - b
-        if kind == "*":
-            return a * b
-        if kind == "/":
-            return a / b
+            return power(ev(n[1]), n[2])
+        if kind in binary:
+            return binary[kind](ev(n[1]), ev(n[2]))
         raise CatalogError(f"unknown AST node {n!r}")
 
-    if mode == "mp":
-        with mpmath.workdps(dps):
-            return ev(node)
-    return ev(node)
+    return mp.make_mpf(ev(node)) if mode == "mp" else ev(node)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +368,12 @@ _GUARD_DPS = 12
 
 def _rogers_L_values(entry: IdentityEntry, dps: int) -> tuple:
     """rogers_L_mp of each term's argument, everything at dps digits."""
-    import mpmath
+    from mpmath import libmp
 
-    args = entry.arguments("mp", dps)
-    with mpmath.workdps(dps):
-        slack = mpmath.mpf(10) ** (5 - dps)
-        lo, hi = -slack, 1 + slack
+    slack = Fraction(1, 10 ** (dps - 5))
     values = []
-    for arg in args:
-        if not lo <= arg <= hi:
+    for arg in entry.arguments("mp", dps):
+        if not -slack <= Fraction(*libmp.to_rational(arg._mpf_)) <= 1 + slack:
             raise DomainError(f"argument of entry {entry.name!r} evaluates to {arg}, outside [0,1]")
         values.append(rogers_L_mp(min(1, max(0, arg)), dps=dps))
     return tuple(values)

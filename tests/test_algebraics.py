@@ -11,7 +11,9 @@ import math
 import random
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -148,14 +150,47 @@ _NAN, _INF = float("nan"), float("inf")
     lambda p: constant("rho").refine(_NAN),
     lambda p: constant("rho").to_mpf(2.5),
     lambda p: isolate_real_roots(p)[1].to_mpf("30"),
+    lambda p: isolate_real_roots(p)[1].to_mpf(True),
     lambda p: p.eval_at(_NAN),
     lambda p: rational_sqrt(_INF),
 ], ids=["count-nan", "count-inf", "count-text", "interval-nan", "interval-inf",
-        "refine-inf", "refine-nan", "dps-float", "dps-text", "eval-nan", "sqrt-inf"])
+        "refine-inf", "refine-nan", "dps-float", "dps-text", "dps-bool", "eval-nan", "sqrt-inf"])
 def test_non_finite_or_non_numeric_inputs_raise_domain_error(call):
     # a bare ValueError, OverflowError or TypeError escaped before
     with pytest.raises(DomainError):
         call(IntegerPolynomial((-2, 0, 1)))
+
+
+def test_concurrent_refines_keep_a_sign_change_bracket():
+    # six threads refine one shared root, each from 1e-5 to 1e-400; a
+    # thread that reads a bracket while another stores one can return, or
+    # leave behind, a bracket that no longer holds the root
+    quartic = IntegerPolynomial((-1, -3, 3, 1, 1))
+
+    def sign(x):
+        return algebraics._isign(quartic.coeffs, *x.as_integer_ratio())
+
+    start = threading.Barrier(6)
+
+    def refine_all(root):
+        start.wait()
+        bad = 0
+        for k in range(100):
+            eps = F(1, 10 ** (5 + 395 * k // 99))
+            lo, hi = root.refine(eps)
+            bad += not (hi - lo <= eps and sign(lo) * sign(hi) < 0)
+        return bad
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            for _ in range(10):
+                root = AlgebraicNumber(quartic, 0, 1)
+                assert sum(pool.map(refine_all, [root] * 6)) == 0
+                assert sign(root.lo) * sign(root.hi) < 0
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_rational_sqrt():

@@ -203,6 +203,7 @@ def test_solve_scan_failure_exits_1():
     ["verify-identities", "--precision", "0"],  # precision must be positive, finite
     ["verify-identities", "--precision", "-1"],
     ["verify-identities", "--precision", "nan"],
+    ["verify-identities", "--catalog", os.devnull],  # a catalog with no record
     ["search", "--tol", "1e-12"],            # below the search solver floor
     ["recognize", "0.5", "--max-st", "-5"],  # spectrum bounds must be >= 1
     ["recognize", "0.5", "--max-st", "0"],
@@ -546,6 +547,12 @@ def test_verify_identities_custom_catalog(tmp_path):
 
     code, _, err = run_cli(["verify-identities", "--catalog", str(tmp_path / "nope.txt")])
     assert code == 2
+
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# no record here\n\n# nor here\n")
+    code, out, err = run_cli(["verify-identities", "--catalog", str(comments)])
+    assert code == 2 and out == ""
+    assert "no identity record" in err
 
     malformed = tmp_path / "malformed.txt"
     malformed.write_text("term 1 rho\n")

@@ -10,6 +10,7 @@ last binary place) is checked against mpmath's polylog and log1p at
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -184,9 +185,23 @@ def test_mp_relative_accuracy_at_the_ends(x, dps):
 def test_mp_exact_endpoints_and_domain():
     for x, want in ((0, 0), (Fraction(0), 0), (1, 1), (1.0, 1), (mpmath.mpf(1), 1)):
         assert rogers_L_mp(x, dps=30) == want
-    for bad in (-1, Fraction(11, 10), 1.5, float("nan"), float("inf"), mpmath.mpf("nan")):
+    for bad in (-1, Fraction(11, 10), 1.5, float("nan"), float("inf"), mpmath.mpf("nan"),
+                None, "abc", "1/0", Decimal("inf"), mpmath.mpc(0.5, 0.1)):
         with pytest.raises(DomainError):
             rogers_L_mp(bad, dps=30)
+
+
+def test_mp_takes_fraction_readable_input_exactly():
+    want = rogers_L_mp(Fraction(3, 10), dps=60)
+    for x in ("3/10", "0.3", " 0.30 ", Decimal("0.3")):
+        assert rogers_L_mp(x, dps=60) == want
+    assert rogers_L_mp("1e-300", dps=60) == rogers_L_mp(Fraction(1, 10**300), dps=60)
+
+
+@pytest.mark.parametrize("dps", [0, -3, 2.5, True, "30", None])
+def test_mp_rejects_a_dps_that_is_not_a_positive_int(dps):
+    with pytest.raises(DomainError):
+        rogers_L_mp(Fraction(3, 10), dps=dps)
 
 
 def _series_L(x):

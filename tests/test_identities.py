@@ -6,13 +6,16 @@ verification in binary64 and mpmath arithmetic, and the cross-check of
 matrix-carrying entries against the solved fixed-point coordinates.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import pytest
 
 from dilogtba import identities
-from dilogtba.algebraics import AlgebraicNumber
+from dilogtba.algebraics import CONSTANTS, AlgebraicNumber
 from dilogtba.errors import CatalogError, DomainError
 from dilogtba.identities import (
     IdentityEntry,
@@ -90,13 +93,20 @@ def test_evaluate_unknown_constant():
 
 
 def test_evaluate_sqrt_of_negative():
-    with pytest.raises(DomainError):
-        evaluate_expression(parse_expression("sqrt(1-2)"))
+    for mode in ("float", "mp"):
+        with pytest.raises(DomainError):
+            evaluate_expression(parse_expression("sqrt(1-2)"), mode)
 
 
 def test_evaluate_bad_mode():
     with pytest.raises(ValueError):
         evaluate_expression(parse_expression("1"), mode="decimal")
+
+
+@pytest.mark.parametrize("dps", [0, -3, 2.5, True, "30", None])
+def test_evaluate_mp_rejects_a_dps_that_is_not_a_positive_int(dps):
+    with pytest.raises(DomainError):
+        evaluate_expression(parse_expression("(sqrt(5)-1)/2"), "mp", dps=dps)
 
 
 def test_evaluate_float_vs_mp_simple():
@@ -351,3 +361,42 @@ def test_cross_check_is_kept_on_the_entry():
         assert solve.call_count == 0
         assert cross_check_tba(warm[0], A=warm[0].matrix) == cold[0]
         assert solve.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# explicit precision: no mpmath global state
+
+def _residuals(precisions):
+    """verify of a freshly parsed catalog at each precision, finest last."""
+    entries = _fresh_catalog()
+    return [verify(entry, p) for p in precisions for entry in entries]
+
+
+def test_threads_verify_as_a_serial_run():
+    # eight threads, each verifying its own catalog from 1e-14 to 1e-80;
+    # a precision set process-wide by one thread would leak into the
+    # arithmetic of another
+    precisions = [10.0 ** -k for k in range(14, 81, 6)]
+    serial = _residuals(precisions)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            runs = list(pool.map(_residuals, [precisions] * 8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(run == serial for run in runs)
+
+
+def test_results_ignore_mpmaths_global_precision():
+    def results():
+        return _residuals([1e-60]), [c.to_mpf(75)._mpf_ for c in CONSTANTS.values()]
+
+    want = results()
+    dps = mpmath.mp.dps
+    mpmath.mp.dps = 5
+    try:
+        got = results()
+    finally:
+        mpmath.mp.dps = dps
+    assert got == want

@@ -1,7 +1,9 @@
 """The package's public namespace: which names it exports and from where."""
 
 import importlib
+import re
 import types
+from pathlib import Path
 
 import dilogtba
 
@@ -47,3 +49,16 @@ def test_package_binds_no_other_public_name():
     bound = {n for n, v in vars(dilogtba).items()
              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert bound == set(dilogtba.__all__) - {"__version__", "CONSTANTS"}
+
+
+# mpmath's process-wide precision, set by one thread, leaks into every
+# other thread's arithmetic; src/ computes each mp value at an explicit one
+_GLOBAL_PRECISION = re.compile(r"workdps|workprec|extradps|extraprec|mp\.(dps|prec)\s*=(?!=)")
+
+
+def test_no_module_touches_mpmaths_global_precision():
+    hits = [f"{path.name}:{k}: {line.strip()}"
+            for path in sorted(Path(dilogtba.__file__).parent.glob("*.py"))
+            for k, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+            if _GLOBAL_PRECISION.search(line)]
+    assert hits == []
