@@ -205,9 +205,10 @@ class AlgebraicNumber:
     number never changes; a per-number lock makes each refinement atomic,
     so threads may share a number).  When a bisection point hits the root,
     the exact rational value is remembered and the conversions return it.
+    The correctly rounded double, once found, is kept as well.
     """
 
-    __slots__ = ("poly", "lo", "hi", "_exact", "_lock")
+    __slots__ = ("poly", "lo", "hi", "_exact", "_lock", "_float")
 
     def __init__(self, poly: IntegerPolynomial, lo, hi):
         lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
@@ -218,6 +219,7 @@ class AlgebraicNumber:
         self.hi = hi
         self._exact: Fraction | None = None
         self._lock = threading.Lock()
+        self._float: float | None = None
         slo = _isign(poly.coeffs, *lo.as_integer_ratio())
         shi = _isign(poly.coeffs, *hi.as_integer_ratio())
         if slo == 0 or shi == 0 or slo == shi:
@@ -256,9 +258,22 @@ class AlgebraicNumber:
             return (self.lo, self.hi)
 
     def to_float(self) -> float:
-        """Correctly rounded to double for all catalog-scale roots."""
-        lo, hi = self.refine(Fraction(1, 10**20))
-        return float(self._exact if self._exact is not None else (lo + hi) / 2)
+        """The correctly rounded double, found once and then kept: the
+        bracket is refined until both ends round to the same double, or
+        the root is exact (a root on the rounding boundary of two
+        doubles is rational, and is tested there)."""
+        if self._float is None:
+            eps = Fraction(1, 10**20)
+            lo, hi = self.refine(eps)
+            while self._exact is None and float(lo) != float(hi):
+                tie = (Fraction(float(lo)) + Fraction(float(hi))) / 2
+                if lo < tie < hi and _isign(self.poly.coeffs, *tie.as_integer_ratio()) == 0:
+                    lo = tie
+                    break
+                eps /= 2**16
+                lo, hi = self.refine(eps)
+            self._float = float(lo if self._exact is None else self._exact)
+        return self._float
 
     def to_mpf(self, dps: int = 50):
         from mpmath import libmp, mp

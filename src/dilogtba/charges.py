@@ -33,6 +33,9 @@ __all__ = ["ChargeMatch", "recognize"]
 # largest max_st / max_n: spectrum(10**4, 10**4) holds 29 997 values
 MAX_SPECTRUM_BOUND = 10_000
 
+# the recognition tolerance of recognize, and so of SearchConfig and the CLI
+DEFAULT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ChargeMatch:
@@ -140,7 +143,7 @@ def spectrum(max_st: int, max_n: int) -> Spectrum:
 
 def recognize(
     c: float,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     max_st: int = 200,
     max_n: int = 60,
     max_den: int = 10_000,

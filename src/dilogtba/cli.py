@@ -8,6 +8,10 @@ entries, so "1/2 scaled (8 5; 5 4)" is `-A 8 5 4 --scale 1/2`.
 
 search applies --tol and each search flag given over the --config
 preset (or the SearchConfig defaults); a flag left out keeps its value.
+The CLI restates no library default: a flag left out is absent from
+args, so the library's default applies, and a document stating a
+default reads it from the module that owns it.  --grid-n takes the
+integers that tba's one grid check takes.
 
 Text reports go to standard output (first line is a version header,
 suppressed by --no-header); diagnostics go to standard error.  --json
@@ -21,11 +25,11 @@ overflow), 2 input error (unknown subcommand, malformed fraction,
 missing flag, an option value outside its documented range).
 
 The environment variable DILOGTBA_TOL sets the default recognition
-tolerance (flag --tol overrides; built-in default 1e-9).  Both must be
-positive finite numbers; a bad value is an input error.  The argument
-parser is built once per process for each DILOGTBA_TOL value and reused
-by every later parse_and_dispatch call, so a changed variable still
-takes effect on the next call.
+tolerance (flag --tol overrides; built-in default charges.DEFAULT_TOL,
+recognize's own).  Both must be positive finite numbers; a bad value
+is an input error.  The argument parser is built once per process for
+each DILOGTBA_TOL value and reused by every later parse_and_dispatch
+call, so a changed variable still takes effect on the next call.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import bounds_on_c, classify_vs_one, dual
-from .charges import MAX_SPECTRUM_BOUND, ChargeMatch, recognize
+from .charges import DEFAULT_TOL, MAX_SPECTRUM_BOUND, ChargeMatch, recognize
 from .errors import (
     CatalogError,
     DomainError,
@@ -51,8 +55,9 @@ from .errors import (
     SingularMatrixError,
     TailBoundError,
 )
-from .identities import cross_check_tba, load_catalog, parse_catalog, verify
-from .qseries import FORMS, FORM_SYSTEMS, _ceff_samples, estimate_ceff, expand
+from .identities import (DEFAULT_PRECISION, MP_BELOW, cross_check_tba, load_catalog,
+                         parse_catalog, verify)
+from .qseries import DEFAULT_EPS, FORMS, FORM_SYSTEMS, _ceff_samples, estimate_ceff, expand
 from .search import (
     EXAMPLE_CONFIGS,
     SearchConfig,
@@ -65,7 +70,8 @@ from .search import (
     report_text,
     run_search,
 )
-from .tba import INFINITY, RationalSymmetricMatrix, check_range, solve_r1, solve_r2
+from .tba import (DEFAULT_GRID_N, GRID_N_MAX, GRID_N_MIN, INFINITY, RationalSymmetricMatrix,
+                  _checked_grid_n, check_range, solve_r1, solve_r2)
 
 __all__ = ["parse_and_dispatch", "main"]
 
@@ -132,6 +138,20 @@ def _int_at_least(lowest: int, highest: int | None = None):
     return parse
 
 
+def _grid_n(text: str) -> int:
+    """argparse type for --grid-n: an integer that tba's grid check takes."""
+    try:
+        return _checked_grid_n(int(text))
+    except ValueError as exc:  # int's, or the check's DomainError
+        raise argparse.ArgumentTypeError(f"invalid grid {text!r} ({exc})") from None
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among names that were given (one left out is absent
+    from args), for a library call whose defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _matches_text(m: ChargeMatch) -> str:
     kinds = m.ranked()
     if not kinds:
@@ -194,7 +214,7 @@ def _cmd_solve(args) -> int:
         _emit(args, lines, doc)
         return 0
     A = data
-    sol = solve_r2(A, grid_n=args.grid_n, enforce_range=not args.no_range_check)
+    sol = solve_r2(A, enforce_range=not args.no_range_check, **_given(args, "grid_n"))
     m = recognize(sol.c, tol=tol)
     c_tol = max(sol.residual, 1e-15)
     lines = [
@@ -300,8 +320,7 @@ def _cmd_recognize(args) -> int:
         raise _InputError(f"malformed value {raw!r} ({exc})") from None
     if not math.isfinite(value):
         raise _InputError(f"value must be a finite number, got {raw!r}")
-    bounds = {k: getattr(args, k) for k in ("max_st", "max_n", "max_den") if hasattr(args, k)}
-    m = recognize(value, tol=args.tol, **bounds)
+    m = recognize(value, tol=args.tol, **_given(args, "max_st", "max_n", "max_den"))
     lines = [f"value {value!r}", _matches_text(m)]
     doc = {
         "command": "recognize",
@@ -314,8 +333,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_search(args) -> int:
     base = EXAMPLE_CONFIGS[args.config] if args.config is not None else SearchConfig()
-    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)
-             if hasattr(args, f.name)}
+    flags = _given(args, *(f.name for f in dataclasses.fields(SearchConfig)))
     try:
         cfg = dataclasses.replace(base, tolerance=args.tol, **flags)
     except ValueError as exc:  # SearchConfig's own checks, e.g. the tolerance floor
@@ -323,7 +341,7 @@ def _cmd_search(args) -> int:
     rep = run_search(cfg)
     if args.dedupe:
         rep.admissible = dedupe_by_duality(rep.admissible)
-    doc = {"command": "search", "report": _report_doc(rep, cfg.tolerance)}
+    doc = {"command": "search", "report": _report_doc(rep)}
     _emit(args, [report_text(rep).removesuffix("\n")], doc)
     return 0
 
@@ -339,7 +357,7 @@ def _cmd_verify_identities(args) -> int:
             raise _InputError(f"catalog {args.catalog!r} holds no identity record")
     else:
         entries = load_catalog()
-    precision = args.precision
+    precision = getattr(args, "precision", DEFAULT_PRECISION)
     lines = []
     rows = []
     all_pass = True
@@ -403,7 +421,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_ceff(args) -> int:
     form = FORMS[args.form]
-    if args.eps:
+    eps = DEFAULT_EPS
+    if hasattr(args, "eps"):
         try:
             eps = tuple(float(t) for t in args.eps.split(","))
             _ceff_samples(eps)
@@ -411,8 +430,6 @@ def _cmd_ceff(args) -> int:
             raise _InputError(f"--eps {args.eps!r}: {exc}") from None
         except ValueError as exc:
             raise _InputError(f"malformed --eps list {args.eps!r} ({exc})") from None
-    else:
-        eps = (0.20, 0.12, 0.07, 0.04)
     est = estimate_ceff(form, eps_list=eps)
     expected = FORM_SYSTEMS.get(args.form, (None, None))[1]
     lines = [f"form {args.form}", f"ceff estimate = {est:.6f}"]
@@ -448,18 +465,18 @@ _NEGATIVE_ENTRY_COMMANDS = ("solve", "classify", "bounds", "dual", "recognize")
 
 
 @functools.lru_cache(maxsize=4)
-def _build_parser(default_tol: str) -> argparse.ArgumentParser:
-    # default_tol is the raw DILOGTBA_TOL text: a string default goes
+def _build_parser(env_tol: str | None) -> argparse.ArgumentParser:
+    # env_tol is the raw DILOGTBA_TOL text: a string default goes
     # through type= on every parse that lacks the flag, so a bad value
     # is reported as an input error at parse time, also from a cached
-    # parser
+    # parser; without it the default is recognize's own
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--no-header", action="store_true",
                         help="suppress the version header on text output")
     common.add_argument("--tol", type=_positive_float(" (from the flag or DILOGTBA_TOL)"),
-                        default=default_tol,
-                        help="recognition tolerance (default from DILOGTBA_TOL or 1e-9)")
+                        default=DEFAULT_TOL if env_tol is None else env_tol,
+                        help=f"recognition tolerance (default from DILOGTBA_TOL or {DEFAULT_TOL:g})")
 
     matrix = argparse.ArgumentParser(add_help=False)
     matrix.add_argument("-A", nargs="+", required=True, metavar="ENTRY",
@@ -477,8 +494,8 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", parents=[common, matrix],
                         help="solve the TBA system and recognize c")
-    sp.add_argument("--grid-n", type=_int_at_least(1001), default=100_000,
-                    help="scan resolution (at least 1001)")
+    sp.add_argument("--grid-n", type=_grid_n, default=argparse.SUPPRESS,
+                    help=f"scan resolution, {GRID_N_MIN} to {GRID_N_MAX} (default {DEFAULT_GRID_N})")
     sp.add_argument("--no-range-check", action="store_true",
                     help="solve even when the entry-range condition fails")
     sp.set_defaults(func=_cmd_solve)
@@ -528,16 +545,17 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     sp.add_argument("--a-eq-d", action="store_true", help="restrict to a = d")
     sp.add_argument("--keep-nonunique", dest="require_uniqueness", action="store_false",
                     help="treat multi-solution matrices as ordinary candidates")
-    sp.add_argument("--grid-n", type=_int_at_least(1001),
-                    help="scan resolution (at least 1001)")
+    sp.add_argument("--grid-n", type=_grid_n,
+                    help=f"scan resolution ({GRID_N_MIN} to {GRID_N_MAX})")
     sp.add_argument("--dedupe", action="store_true", default=False,
                     help="collapse duality-paired candidates to the c <= 1 member")
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("verify-identities", parents=[common],
                         help="verify the two-term dilogarithm identity catalog")
-    sp.add_argument("--precision", type=_positive_float(), default=1e-12,
-                    help="required residual bound (below 1e-13 switches to mpmath)")
+    sp.add_argument("--precision", type=_positive_float(), default=argparse.SUPPRESS,
+                    help=f"required residual bound (default {DEFAULT_PRECISION:g};"
+                         f" below {MP_BELOW:g} switches to mpmath)")
     sp.add_argument("--catalog", default=None, metavar="PATH",
                     help="catalog file (default: the shipped catalog)")
     sp.add_argument("--cross-check", action="store_true",
@@ -554,8 +572,9 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
     sp = sub.add_parser("ceff-estimate", parents=[common],
                         help="effective central charge from the q -> 1 limit")
     sp.add_argument("form", choices=sorted(FORMS), help="registered form name")
-    sp.add_argument("--eps", default=None, metavar="E1,E2,...",
-                    help="comma-separated ln(1/q) samples (default 0.20,0.12,0.07,0.04)")
+    sp.add_argument("--eps", default=argparse.SUPPRESS, metavar="E1,E2,...",
+                    help="comma-separated ln(1/q) samples (default "
+                         + ",".join(map(str, DEFAULT_EPS)) + ")")
     sp.set_defaults(func=_cmd_ceff)
 
     for parser in (p, *(sub.choices[name] for name in _NEGATIVE_ENTRY_COMMANDS)):
@@ -565,7 +584,7 @@ def _build_parser(default_tol: str) -> argparse.ArgumentParser:
 
 def parse_and_dispatch(argv: list[str]) -> int:
     """Parse argv (without the program name) and run one subcommand."""
-    parser = _build_parser(os.environ.get("DILOGTBA_TOL", "1e-9"))
+    parser = _build_parser(os.environ.get("DILOGTBA_TOL"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -30,7 +30,7 @@ serializer reproduces this layout byte-identically, with expression
 strings preserved exactly as read.
 
 verify() evaluates an entry's residual |sum coeff L(arg) - target| in
-binary64 (arguments resolved from isolating intervals refined to 1e-20)
+binary64 (from the correctly rounded doubles the constants keep)
 or, for precision requests below 1e-13, as |sum coeff [L(arg)]_D -
 target| computed exactly in rationals, where [.]_D rounds to the nearest
 binary float of D working digits.  Each L(arg) comes from
@@ -361,6 +361,11 @@ def _check_unit_interval(name: str, value: float) -> float:
     raise DomainError(f"argument of entry {name!r} evaluates to {value}, outside [0,1]")
 
 
+# verify's default precision, and the finest it serves in binary64: a
+# request below MP_BELOW works in mpmath at D digits
+DEFAULT_PRECISION = 1e-12
+MP_BELOW = 1e-13
+
 # Digits computed beyond the working precision D, so that rounding a kept
 # value to any D' <= D digits gives the correctly rounded L.
 _GUARD_DPS = 12
@@ -379,13 +384,13 @@ def _rogers_L_values(entry: IdentityEntry, dps: int) -> tuple:
     return tuple(values)
 
 
-def verify(entry: IdentityEntry, precision: float = 1e-12) -> float:
+def verify(entry: IdentityEntry, precision: float = DEFAULT_PRECISION) -> float:
     """Residual |sum coeff * L(arg) - target| of one catalog entry.
 
-    precision >= 1e-13 uses binary64 throughout (arguments accurate to
-    about 1e-16, L evaluated by series and reflection).  Smaller
-    precision works at D = max(30, ceil(-log10 precision) + 15) digits:
-    each L(arg) is rounded to nearest at D digits from a value computed
+    precision >= MP_BELOW = 1e-13 uses binary64 throughout (arguments
+    accurate to about 1e-16, L evaluated by series and reflection).
+    Smaller precision works at D = max(30, ceil(-log10 precision) + 15)
+    digits: each L(arg) is rounded to nearest at D digits from a value computed
     with 12 guard digits, and the sum minus target is taken exactly, so
     the residual is that of the correctly rounded terms.  The entry keeps
     its values at the finest D so far; a request at that D or coarser
@@ -393,7 +398,7 @@ def verify(entry: IdentityEntry, precision: float = 1e-12) -> float:
     """
     if not (precision > 0):
         raise ValueError(f"precision must be positive, got {precision}")
-    if precision >= 1e-13:
+    if precision >= MP_BELOW:
         args = entry.arguments("float")
         total = math.fsum(
             float(coeff) * rogers_L(_check_unit_interval(entry.name, arg))

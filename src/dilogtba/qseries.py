@@ -517,6 +517,10 @@ def eval_at(form: FermionicForm, q: float, cutoff: int | None = None) -> float:
     )
 
 
+# estimate_ceff's eps samples when none are given
+DEFAULT_EPS = (0.20, 0.12, 0.07, 0.04)
+
+
 def _ceff_samples(eps_list) -> list[float]:
     """The distinct eps values of estimate_ceff, descending.
 
@@ -532,7 +536,7 @@ def _ceff_samples(eps_list) -> list[float]:
     return eps
 
 
-def estimate_ceff(form: FermionicForm, eps_list=(0.20, 0.12, 0.07, 0.04)) -> float:
+def estimate_ceff(form: FermionicForm, eps_list=DEFAULT_EPS) -> float:
     """Extrapolated effective central charge from the q -> 1 growth.
 
     For each eps, s(eps) = (6 eps / pi^2) ln chi(e^-eps); a linear

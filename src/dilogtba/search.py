@@ -41,6 +41,10 @@ a suspect through its re-solve, which return the results solve_r2
 holds (see tba.solve_r2), so each solve and re-solve is one solve_r2
 call.
 
+The default tolerance is charges.DEFAULT_TOL, grid_n passes tba's one
+check and the continuum a = d = 0, b = 1/2 is left out by tba's test;
+a report records its tolerance, which report_json states.
+
 dedupe_by_duality collapses pairs (A, (1/4) A^{-1}) that are both
 present to the representative with c <= 1, recording the partner and
 its c value on the kept candidate.
@@ -65,9 +69,10 @@ from .analysis import (
     dual,
     uniqueness_guarantee,
 )
-from .charges import ChargeMatch, recognize
+from .charges import DEFAULT_TOL, ChargeMatch, recognize
 from .errors import ScanFailure, SingularMatrixError
-from .tba import RationalSymmetricMatrix, TbaSolution, _as_fraction, forces_xy_one, prescan, solve_r2
+from .tba import (GRID_N_MAX, RationalSymmetricMatrix, TbaSolution, _as_fraction, _checked_grid_n,
+                  _continuum, forces_xy_one, prescan, solve_r2)
 
 __all__ = [
     "SearchConfig",
@@ -97,19 +102,21 @@ class SearchConfig:
     values (subject to the range condition b >= -min(a, d)).  At most
     100 entry values are allowed, and (max_numerator + 1) *
     max_denominator may be at most 10 000.  tolerance is the
-    recognition tolerance (at least the solver floor of 1e-10); the
-    charge spectra are those of charges.recognize at its default
-    bounds.  fix_d pins d to one exact value; a_eq_d restricts to the
-    symmetric family a = d, so the two cannot both be set.  grid_n is
-    the scan resolution used for search solves (suspects re-solve at
-    20x).
+    recognition tolerance, by default charges.recognize's (at least the
+    solver floor of 1e-10); the charge spectra are those of
+    charges.recognize at its default bounds.  fix_d pins d to one exact
+    value; a_eq_d restricts to the symmetric family a = d, so the two
+    cannot both be set.  grid_n is the scan resolution used for search
+    solves, checked by tba's one grid check, as solve_r2's is; suspects
+    re-solve at 20x, or at the grid cap tba.GRID_N_MAX where that is
+    less.
     """
 
     max_numerator: int = 8
     max_denominator: int = 2
     entry_min: Fraction | None = None
     entry_max: Fraction | None = None
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOL
     require_uniqueness: bool = True
     fix_d: Fraction | None = None
     a_eq_d: bool = False
@@ -123,8 +130,7 @@ class SearchConfig:
             raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 1e-10:
             raise ValueError(f"tolerance {self.tolerance} is below the solver floor 1e-10")
-        if self.grid_n < 1001:
-            raise ValueError(f"grid_n {self.grid_n} is below the solver floor 1001")
+        _checked_grid_n(self.grid_n)  # a DomainError, which is a ValueError
         if self.fix_d is not None and self.a_eq_d:
             raise ValueError("fix_d and a_eq_d cannot both be set: a_eq_d takes d = a")
         for name in ("entry_min", "entry_max", "fix_d"):
@@ -180,11 +186,13 @@ class Candidate:
 
 @dataclass
 class SearchReport:
-    """Search outcome: admissible candidates plus the side sections.
+    """Search outcome: admissible candidates plus the side sections, and
+    the recognition tolerance they were judged at.
 
     Iterating the report iterates the admissible list.
     """
 
+    tolerance: float
     admissible: list[Candidate] = field(default_factory=list)
     nonunique: list[Candidate] = field(default_factory=list)
     failures: list[tuple[RationalSymmetricMatrix, str]] = field(default_factory=list)
@@ -226,8 +234,8 @@ def _entries(cfg: SearchConfig) -> list[tuple[tuple[int, ...], Fraction, Fractio
             if not 0 <= dn <= an:
                 continue  # d < 0, or not in the canonical orientation a >= d
             for b, bn, bq in b_values[bisect_left(b_nums, -dn):]:
-                if an == dn == 0 and 2 * bn == m:
-                    continue  # a = d = 0, b = 1/2: a continuum, not a discrete system
+                if _continuum((an, bn, dn, m)):
+                    continue  # not a discrete system
                 # the matrix's own common denominator is m / g
                 g = m // math.lcm(aq, bq, dq)
                 keyed.append(((max(aq, bq, dq), an, dn, bn), (an // g, bn // g, dn // g, m // g),
@@ -259,7 +267,7 @@ _VERDICTS_CAP = 16_384
 
 def run_search(cfg: SearchConfig) -> SearchReport:
     """Enumerate, filter, solve, and recognize; see the module docstring."""
-    report = SearchReport()
+    report = SearchReport(cfg.tolerance)
     entries = _entries(cfg)
     report.scanned = len(entries)
 
@@ -281,7 +289,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
                 _VERDICTS.popitem(last=False)
         elif verdict.resolved:
             # the suspect's re-solve, which solve_r2 holds
-            solve_r2(A, grid_n=20 * cfg.grid_n)
+            solve_r2(A, grid_n=min(20 * cfg.grid_n, GRID_N_MAX))
         if verdict.section is not None:
             getattr(report, verdict.section).append(verdict.candidate)
 
@@ -295,7 +303,7 @@ def _judge(A: RationalSymmetricMatrix, sol: TbaSolution, cfg: SearchConfig) -> _
     if not match.empty and match.residual > 1e-9:
         # near-miss: re-solve on a much finer grid before accepting
         suspect = True
-        sol = solve_r2(A, grid_n=20 * cfg.grid_n)
+        sol = solve_r2(A, grid_n=min(20 * cfg.grid_n, GRID_N_MAX))
         match = recognize(sol.c, tol=cfg.tolerance)
 
     if sol.multiplicity > 1 and cfg.require_uniqueness:
@@ -459,7 +467,8 @@ def _candidate_json(cand: Candidate, tol: float):
     return out
 
 
-def _report_doc(report: SearchReport, tol: float):
+def _report_doc(report: SearchReport):
+    tol = report.tolerance
     return {
         "scanned": report.scanned,
         "pruned": report.pruned,
@@ -487,9 +496,10 @@ def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
-def report_json(report: SearchReport, tol: float = 1e-9) -> str:
-    """JSON search report matching the shipped output schema."""
-    return _json_text(_report_doc(report, tol))
+def report_json(report: SearchReport) -> str:
+    """JSON search report matching the shipped output schema; every
+    match carries the tolerance the report was judged at."""
+    return _json_text(_report_doc(report))
 
 
 # Example configurations; together they recover the full catalog of

@@ -46,14 +46,15 @@ once; every value is computed elementwise, so a row's result does not
 depend on the block it is scanned in.  solve_r2 keeps each result, the
 solution or the ScanFailure message, under the key (A.integers,
 grid_n), for the last 16 384 keys of the process, so a repeated matrix
-is neither scanned nor solved again.  A lone solve scans a block of
-one; prescan solves a block of matrices with one scan and puts the
-results in that store, and the search prescans its matrices a block at
-a time, paying numpy's fixed cost per call once per block.  numpy is
-imported on first use, inside _coarse_grid, _scan_block and
-_exp_in_place, so a process that solves only positive semidefinite or
-b = 0 systems does not load it.  For b = 0 the system decouples into
-two r=1 problems.
+is neither scanned nor solved again.  grid_n is 100 000 for a single
+solve and an int from 1001 to 10^7 everywhere (_checked_grid_n).  A
+lone solve scans a block of one; prescan solves a block of matrices
+with one scan and puts the results in that store, and the search
+prescans its matrices a block at a time, paying numpy's fixed cost per
+call once per block.  numpy is imported on first use, inside
+_coarse_grid, _scan_block and _exp_in_place, so a process that solves
+only positive semidefinite or b = 0 systems does not load it.  For
+b = 0 the system decouples into two r=1 problems.
 Boundary fixed points (x,y) in {(0,1), (1,0)} exist exactly when d = 0
 (resp. a = 0) with b > 0; they are reported separately from interior
 solutions and are only promoted to principal when no interior solution
@@ -336,6 +337,9 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
 # its monotonicity bounds clear 1 by the relative _MARGIN.
 _STRIDE = 64
 _MARGIN = 1e-9
+# refined cells per fine-pass array: up to 2^14 x (_STRIDE + 1) values,
+# about 8.5 MB each, also where a 10^7-point grid refines every cell
+_FINE_CELLS = 1 << 14
 
 _Scan = tuple[list[float], list[tuple[float, float, float]]]
 
@@ -380,7 +384,7 @@ def _scan_block(P, n: int) -> list[_Scan]:
     make that error exceed the margin (e.g. b = 1/10^33), every cell of
     the row is refined.  The fine pass evaluates the refined (row, cell)
     pairs, end points included, as (pairs x S+1) arrays of at most one
-    row's worth of cells each.
+    row's worth of cells, and at most _FINE_CELLS pairs, each.
     """
     import numpy as np
 
@@ -407,15 +411,21 @@ def _scan_block(P, n: int) -> list[_Scan]:
                 refine[i] = True
             for e, q in (p[:2], p[2:]):
                 if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
-                    # the cell holding the critical point, and its neighbours
+                    # the cell holding the critical point.  Rounding moves
+                    # it to a neighbour only when the point lies within a
+                    # few ulps of their common coarse point, where the term
+                    # is flat: on the neighbour it then exceeds its end
+                    # values by a relative |e + q| (n+1) ulp^2 at most, under
+                    # 1e-18 on a row not refined whole, far inside _MARGIN
                     j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
-                    refine[i, max(j - 1, 0):j + 2] = True
+                    refine[i, min(max(j, 0), cells - 1)] = True
 
         # fine pass; the last cell is padded by repeating y_(n-1)
         rows, cols = np.nonzero(refine)
-        for s in range(0, len(rows), cells):
-            r = rows[s:s + cells]
-            y = np.minimum(kp[cols[s:s + cells], None] + cell, n) / (n + 1)
+        step = min(cells, _FINE_CELLS)
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
+            y = np.minimum(kp[cols[s:s + step], None] + cell, n) / (n + 1)
             one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y), _exp_in_place)
             g += one_minus_x
             g -= 1.0
@@ -496,14 +506,20 @@ def _bisect_root(p, lo: float, hi: float, glo: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _continuum(integers: tuple[int, int, int, int]) -> bool:
+    """a = d = 0, b = 1/2 exactly, from (a, b, d) over a common denominator
+    m: the continuum x + y = 1 of solutions, not a discrete system."""
+    a, b, d, m = integers
+    return a == d == 0 and 2 * b == m
+
+
 def _scanned_exponents(A: RationalSymmetricMatrix) -> tuple[float, float, float, float]:
     """_exponents(A) of a matrix with b != 0 that solve_r2 scans.
 
     Raises ScanFailure for a = d = 0, b = 1/2 and a = d = -b != 0, which
     are decided exactly, and DomainError when an exponent overflows.
     """
-    a, b, d, m = A.integers  # b = 1/2 exactly when 2b = m
-    if a == 0 and d == 0 and 2 * b == m:
+    if _continuum(A.integers):
         raise ScanFailure(
             "a = d = 0, b = 1/2 has a one-parameter continuum of solutions x + y = 1"
         )
@@ -597,6 +613,22 @@ def _newton(A: RationalSymmetricMatrix) -> tuple[float, float, float] | None:
     return None
 
 
+# The grid of a single solve_r2, and the bounds of every grid_n: below
+# 1001 points the scan does not separate close roots, and at 10^7 points
+# a scan's arrays stay near 100 MB (a row that refines every cell, or a
+# search block's coarse pass).
+DEFAULT_GRID_N = 100_000
+GRID_N_MIN, GRID_N_MAX = 1001, 10**7
+
+
+def _checked_grid_n(grid_n) -> int:
+    """grid_n itself; DomainError unless it is an int (a bool is not)
+    from GRID_N_MIN to GRID_N_MAX."""
+    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or not GRID_N_MIN <= grid_n <= GRID_N_MAX:
+        raise DomainError(f"grid_n must be an integer from {GRID_N_MIN} to {GRID_N_MAX}, got {grid_n!r}")
+    return grid_n
+
+
 # Results of solve_r2 by (A.integers, grid_n): the TbaSolution, or the
 # message of the ScanFailure it raised.  Beyond _SOLVED_CAP entries the
 # oldest goes first.
@@ -606,7 +638,7 @@ _SOLVED_CAP = 16_384
 
 def solve_r2(
     A: RationalSymmetricMatrix,
-    grid_n: int = 100_000,
+    grid_n: int = DEFAULT_GRID_N,
     enforce_range: bool = True,
 ) -> TbaSolution:
     """Solve the r=2 system, reporting all interior solutions found.
@@ -635,8 +667,10 @@ def solve_r2(
     RangeViolation outside the admissible entry range, DomainError when
     an entry or an exponent overflows a float, and ScanFailure when no
     solution is found, before the scan for a = d = 0, b = 1/2 (a
-    continuum) and a = d = -b != 0 (xy = 1).  grid_n must be at least
-    1001 for every system.
+    continuum) and a = d = -b != 0 (xy = 1).  grid_n must be an int
+    from GRID_N_MIN = 1001 to GRID_N_MAX = 10^7 for every system
+    (_checked_grid_n, which SearchConfig and the CLI's --grid-n call
+    too); anything else raises DomainError.
 
     The entry range is neither sufficient nor necessary for a solution:
     some continuous families (for example b = 1/2 - sqrt(ad) with large
@@ -651,8 +685,7 @@ def solve_r2(
     returns the held TbaSolution itself.  The range and grid_n checks
     run on every call; a DomainError is not held.
     """
-    if grid_n < 1001:
-        raise DomainError(f"grid_n must be at least 1001 for reliable root separation, got {grid_n}")
+    _checked_grid_n(grid_n)
     if enforce_range and not check_range(A):
         raise RangeViolation(f"matrix {A} violates the entry range (a,d >= 0, b >= -min(a,d))")
     held = _held(A, grid_n)
@@ -742,12 +775,16 @@ def _solve_r2(A: RationalSymmetricMatrix, grid_n: int, scan: _Scan | None) -> Tb
     )
 
 
-def c_of(A, grid_n: int = 100_000, enforce_range: bool = True) -> float:
+def c_of(A, **options) -> float:
     """Dilogarithm sum at the principal solution.
 
-    Accepts a RationalSymmetricMatrix (r=2) or a single rational or
-    INFINITY (r=1).
+    Accepts a RationalSymmetricMatrix (r=2), solved by solve_r2 with the
+    keyword options given (grid_n, enforce_range; solve_r2's defaults
+    otherwise), or a single rational or INFINITY (r=1), which takes none
+    (TypeError).
     """
     if isinstance(A, RationalSymmetricMatrix):
-        return solve_r2(A, grid_n=grid_n, enforce_range=enforce_range).c
+        return solve_r2(A, **options).c
+    if options:
+        raise TypeError(f"a rank-1 system takes no solve options, got {sorted(options)}")
     return solve_r1(A).c

@@ -716,3 +716,28 @@ def test_integer_kernel_coefficient_growth_is_bounded(monkeypatch):
     chain = algebraics._sturm_chain(algebraics._squarefree(poly.coeffs))
     assert max(abs(c).bit_length() for p in chain for c in p) <= 512
     _assert_kernel_matches_the_oracle(poly, monkeypatch)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    # 1 + 2^-53 is the rounding boundary of 1 and 1 + 2^-52; ties go to even
+    ((-(2**53 + 1), 2**53), 1.0),
+    # 2^-80 above that boundary, far inside a 1e-20 bracket
+    ((-(2**80 + 2**27 + 1), 2**80), 1.0 + 2.0**-52),
+    ((-(2**80 + 2**27 - 1), 2**80), 1.0),
+], ids=["tie", "above-tie", "below-tie"])
+def test_to_float_is_correctly_rounded_near_a_rounding_boundary(coeffs, want):
+    # from a bracket whose bisection points never land on the root
+    root = AlgebraicNumber(IntegerPolynomial(coeffs), F(1, 3), F(6, 5))
+    assert root.to_float() == want
+
+
+def test_to_float_is_kept(monkeypatch):
+    root = isolate_real_roots(IntegerPolynomial((-2, 0, 1)))[1]
+    value = root.to_float()
+    assert value == math.sqrt(2)
+
+    def no_refine(*args):
+        raise AssertionError("refined again")
+
+    monkeypatch.setattr(AlgebraicNumber, "refine", no_refine)
+    assert root.to_float() == float(root) == value

@@ -14,6 +14,7 @@ with hypothesis.
 
 import io
 import contextlib
+import inspect
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dilogtba
-from dilogtba import charges, cli
+from dilogtba import charges, cli, identities, qseries, tba
 from dilogtba.cli import parse_and_dispatch
 from dilogtba.search import EXAMPLE_CONFIGS, SearchConfig, report_json, run_search
 
@@ -210,11 +211,46 @@ def test_solve_scan_failure_exits_1():
     ["recognize", "0.5", "--max-n", "0"],
     ["recognize", "0.5", "--max-st", "10001"],  # spectrum bounds are capped at 10^4
     ["recognize", "0.5", "--max-n", "100000"],
+    # grids are capped at 10^7: 10^12 points asked numpy for 116 GiB
+    ["solve", "-A", "1/4", "7", "0", "--grid-n", "1000000000000"],
+    ["search", "--grid-n", "1000000000000"],
 ])
 def test_input_errors_exit_2(argv):
     code, _, err = run_cli(argv)
     assert code == 2, argv
     assert "Traceback" not in err
+
+
+def test_cli_defaults_are_the_library_defaults(schema, monkeypatch):
+    # a flag left out takes the library function's own default, and a
+    # document that states it states that one
+    monkeypatch.delenv("DILOGTBA_TOL", raising=False)
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    tol = default(charges.recognize, "tol")
+    assert SearchConfig().tolerance == tol
+    doc = run_json(["recognize", "0.5", "--json"], schema)
+    assert doc["value"]["tol"] == doc["matches"]["residual"]["tol"] == tol
+
+    grids = []
+    signature = inspect.signature(tba.solve_r2)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        grids.append(bound.arguments["grid_n"])
+        return tba.solve_r2(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_r2", spy)
+    run_json(["solve", "-A", "1/4", "7", "0", "--json"], schema)
+    assert grids == [default(tba.solve_r2, "grid_n")]
+
+    doc = run_json(["verify-identities", "--json"], schema)
+    assert doc["precision"] == default(identities.verify, "precision")
+    doc = run_json(["ceff-estimate", "chi_2_5", "--json"], schema)
+    assert doc["eps"] == list(default(qseries.estimate_ceff, "eps_list"))
 
 
 @pytest.mark.parametrize("env_tol", ["abc", "0", "inf"])
@@ -499,7 +535,7 @@ def test_search_with_fix_d_and_a_eq_d_exits_2(argv):
 def test_search_report_is_the_library_report(name, schema):
     cfg = SearchConfig() if name is None else EXAMPLE_CONFIGS[name]
     doc = run_json(["search", "--json"] + ([] if name is None else ["--config", name]), schema)
-    assert doc["report"] == json.loads(report_json(run_search(cfg), cfg.tolerance))
+    assert doc["report"] == json.loads(report_json(run_search(cfg)))
 
 
 # ---------------------------------------------------------------------------

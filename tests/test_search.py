@@ -114,6 +114,14 @@ def test_config_rejects_a_non_finite_tolerance(tolerance):
         SearchConfig(max_denominator=2, max_numerator=2, tolerance=tolerance)
 
 
+@pytest.mark.parametrize("grid_n", [10**7 + 1, True, 1e5, 1000],
+                         ids=["above-cap", "bool", "float", "below-floor"])
+def test_config_checks_grid_n_as_solve_r2_does(grid_n):
+    with pytest.raises(ValueError, match="grid_n"):
+        SearchConfig(max_denominator=2, max_numerator=2, grid_n=grid_n)
+    assert SearchConfig(grid_n=tba.GRID_N_MAX).grid_n == tba.GRID_N_MAX
+
+
 def test_config_rejects_fix_d_with_a_eq_d():
     # a_eq_d took d = a, so fix_d = 1 was dropped and d ran over 0, 1/2, 1, 2
     with pytest.raises(ValueError, match="fix_d and a_eq_d"):
@@ -524,7 +532,7 @@ def test_json_documents_are_one_line(small_report, den2_report):
     for report in (small_report, den2_report, run_search(EXAMPLE_CONFIGS["symmetric"])):
         text = report_json(report)
         assert _one_line(text)
-        assert json.loads(text) == search._report_doc(report, 1e-9)
+        assert json.loads(text) == search._report_doc(report)
 
 
 def test_json_text_rejects_non_finite_numbers_and_other_values():
@@ -533,3 +541,23 @@ def test_json_text_rejects_non_finite_numbers_and_other_values():
             search._json_text(bad)
     with pytest.raises(TypeError):
         search._json_text({"a": object()})
+
+
+def test_report_json_states_the_tolerance_the_search_ran_at():
+    # report_json(report) stated tol 1e-9 on every match of a 1e-7 search
+    report = run_search(SearchConfig(max_denominator=1, max_numerator=4, tolerance=1e-7))
+    doc = json.loads(report_json(report))
+    residuals = [c["matches"]["residual"] for c in doc["admissible"] + doc["nonunique"]]
+    assert len(residuals) == len(report.admissible) + len(report.nonunique) > 0
+    assert any(r["value"] > 1e-9 for r in residuals)
+    assert {r["tol"] for r in residuals} == {1e-7}
+    assert report.tolerance == 1e-7
+
+
+def test_suspects_re_solve_within_the_grid_cap():
+    # 20 x 600 000 is above the cap of 10^7, which the re-solve takes instead
+    cfg = SearchConfig(max_denominator=1, max_numerator=2, tolerance=1e-7, grid_n=600_000)
+    with mock.patch.object(search, "solve_r2", wraps=solve_r2) as solve:
+        report = run_search(cfg)
+    assert any(c.suspect for c in report.admissible + report.nonunique)
+    assert {call.kwargs["grid_n"] for call in solve.call_args_list} == {600_000, tba.GRID_N_MAX}

@@ -848,3 +848,24 @@ def test_c_additive_under_decoupling():
         lhs = c_of(M(a, 0, d))
         rhs = solve_r1(a).c + solve_r1(d).c
         assert abs(lhs - rhs) <= 1e-13
+
+
+@pytest.mark.parametrize("grid_n", [10**7 + 1, True, 1e5, 1000],
+                         ids=["above-cap", "bool", "float", "below-floor"])
+def test_solve_r2_checks_grid_n(grid_n):
+    # an uncapped grid_n of 10^12 asked numpy for 116 GiB, and a float ran
+    with pytest.raises(DomainError, match="grid_n"):
+        solve_r2(M(F(1, 4), 7, 0), grid_n=grid_n)
+
+
+def test_c_of_passes_its_options_to_solve_r2():
+    A = M(F(1, 4), 7, 0)
+    assert c_of(A, grid_n=20_001) == solve_r2(A, grid_n=20_001).c
+    with pytest.raises(DomainError, match="grid_n"):
+        c_of(A, grid_n=10**7 + 1)
+    # unknown keywords, and any option for a rank-1 system, are errors
+    for system in (A, F(1)):
+        with pytest.raises(TypeError):
+            c_of(system, tol=1e-9)
+    with pytest.raises(TypeError):
+        c_of(F(1), grid_n=20_001)
