@@ -194,6 +194,12 @@ def _cmd_solve(args) -> int:
     kind, data = _read_matrix(args)
     tol = args.tol
     if kind == "r1":
+        # kappa solves a rank-1 system in closed form, with no grid and
+        # for every a >= 0, so neither flag has anything to act on
+        for flag, given in (("--grid-n", hasattr(args, "grid_n")),
+                            ("--no-range-check", args.no_range_check)):
+            if given:
+                raise _InputError(f"{flag} applies to rank-2 matrices only (-A a b d)")
         sol = solve_r1(data)
         m = recognize(sol.c, tol=tol)
         a_repr = "inf" if data == INFINITY else str(data)

@@ -25,21 +25,17 @@ the three spectra.  Matrices with several interior solutions (only
 scanned ones can have them) go to a separate "nonunique" section (all
 solutions listed) instead of the admissible list when
 require_uniqueness is set.  Solver failures are recorded per matrix,
-never fatal.  Candidates whose best match residual exceeds 1e-9 are
-re-solved on a finer grid before acceptance and flagged suspect.
-Results are deterministic and ordered by (largest entry denominator,
-a, d, b).
+never fatal.  Results are deterministic and ordered by (largest entry
+denominator, a, d, b).
 
 Overlapping windows share their matrices (den2's lie inside den4's,
 which lie inside den6's), so the process keeps each solved matrix's
-verdict: its section (or that it was dropped), its candidate and
-whether it was re-solved as a suspect, under the key (A.integers,
-grid_n, tolerance, require_uniqueness), for the last 16 384 keys, with
-the matrix object itself.  A repeated matrix is neither built, nor
-recognized, nor annotated again.  It still goes through solve_r2, and
-a suspect through its re-solve, which return the results solve_r2
-holds (see tba.solve_r2), so each solve and re-solve is one solve_r2
-call.
+verdict: its section (or that it was dropped) and its candidate,
+under the key (A.integers, grid_n, tolerance, require_uniqueness), for
+the last 16 384 keys, with the matrix object itself.  A repeated matrix
+is neither built, nor recognized, nor annotated again.  It still goes
+through solve_r2, which returns the result it holds (see tba.solve_r2),
+so each matrix the search solves is one solve_r2 call, at grid_n.
 
 The default tolerance is charges.DEFAULT_TOL, grid_n passes tba's one
 check and the continuum a = d = 0, b = 1/2 is left out by tba's test;
@@ -71,7 +67,7 @@ from .analysis import (
 )
 from .charges import DEFAULT_TOL, ChargeMatch, recognize
 from .errors import ScanFailure, SingularMatrixError
-from .tba import (GRID_N_MAX, RationalSymmetricMatrix, TbaSolution, _as_fraction, _checked_grid_n,
+from .tba import (RationalSymmetricMatrix, TbaSolution, _as_fraction, _checked_grid_n,
                   _continuum, forces_xy_one, prescan, solve_r2)
 
 __all__ = [
@@ -102,14 +98,15 @@ class SearchConfig:
     values (subject to the range condition b >= -min(a, d)).  At most
     100 entry values are allowed, and (max_numerator + 1) *
     max_denominator may be at most 10 000.  tolerance is the
-    recognition tolerance, by default charges.recognize's (at least the
-    solver floor of 1e-10); the charge spectra are those of
-    charges.recognize at its default bounds.  fix_d pins d to one exact
-    value; a_eq_d restricts to the symmetric family a = d, so the two
-    cannot both be set.  grid_n is the scan resolution used for search
-    solves, checked by tba's one grid check, as solve_r2's is; suspects
-    re-solve at 20x, or at the grid cap tba.GRID_N_MAX where that is
-    less.
+    recognition tolerance, by default charges.recognize's, and at least
+    the solver's accuracy of 1e-15: solve_r2's c is good to a few ulps
+    (1e-15 is about 4.5 ulps for c in [1, 2)), and every genuine
+    spectrum match is within 2.2e-16, so a tighter tolerance would
+    reject values for the solver's rounding alone.  The charge spectra
+    are those of charges.recognize at its default bounds.  fix_d pins d
+    to one exact value; a_eq_d restricts to the symmetric family a = d,
+    so the two cannot both be set.  grid_n is the scan resolution used
+    for search solves, checked by tba's one grid check, as solve_r2's is.
     """
 
     max_numerator: int = 8
@@ -128,8 +125,8 @@ class SearchConfig:
             raise ValueError("max_numerator and max_denominator must be positive")
         if not math.isfinite(self.tolerance):
             raise ValueError(f"tolerance must be finite, got {self.tolerance}")
-        if self.tolerance < 1e-10:
-            raise ValueError(f"tolerance {self.tolerance} is below the solver floor 1e-10")
+        if self.tolerance < 1e-15:
+            raise ValueError(f"tolerance {self.tolerance} is below the solver's accuracy 1e-15")
         _checked_grid_n(self.grid_n)  # a DomainError, which is a ValueError
         if self.fix_d is not None and self.a_eq_d:
             raise ValueError("fix_d and a_eq_d cannot both be set: a_eq_d takes d = a")
@@ -179,6 +176,9 @@ class Candidate:
     matches: ChargeMatch
     solution: TbaSolution
     prop_flags: PropFlags
+    # always False, as no match is re-solved; kept, with its JSON key and
+    # schema entry, while perfbench reads it (workloads.py, run.py).
+    # ROADMAP item 12 drops that read, and item 16 then deletes all three
     suspect: bool = False
     dual_partner: RationalSymmetricMatrix | None = None
     dual_c: float | None = None
@@ -256,7 +256,6 @@ class _Verdict(NamedTuple):
     A: RationalSymmetricMatrix
     section: str | None  # "admissible", "nonunique", or None: dropped
     candidate: Candidate | None
-    resolved: bool  # re-solved on the finer grid as a suspect
 
 
 # Verdicts by (A.integers, grid_n, tolerance, require_uniqueness); beyond
@@ -287,9 +286,6 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             verdict = _VERDICTS[key] = _judge(A, sol, cfg)
             if len(_VERDICTS) > _VERDICTS_CAP:
                 _VERDICTS.popitem(last=False)
-        elif verdict.resolved:
-            # the suspect's re-solve, which solve_r2 holds
-            solve_r2(A, grid_n=min(20 * cfg.grid_n, GRID_N_MAX))
         if verdict.section is not None:
             getattr(report, verdict.section).append(verdict.candidate)
 
@@ -297,28 +293,21 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
 
 def _judge(A: RationalSymmetricMatrix, sol: TbaSolution, cfg: SearchConfig) -> _Verdict:
-    """Recognize sol.c, re-solving a near-miss, and annotate a kept matrix."""
+    """Recognize sol.c and annotate a kept matrix."""
     match = recognize(sol.c, tol=cfg.tolerance)
-    suspect = False
-    if not match.empty and match.residual > 1e-9:
-        # near-miss: re-solve on a much finer grid before accepting
-        suspect = True
-        sol = solve_r2(A, grid_n=min(20 * cfg.grid_n, GRID_N_MAX))
-        match = recognize(sol.c, tol=cfg.tolerance)
-
     if sol.multiplicity > 1 and cfg.require_uniqueness:
         section = "nonunique"
     elif not match.empty:
         section = "admissible"
     else:
-        return _Verdict(A, None, None, suspect)
+        return _Verdict(A, None, None)
     flags = PropFlags(
         classification=classify_vs_one(A),
         uniqueness_guarantee=uniqueness_guarantee(A),
         bounds=bounds_on_c(A) if A.d > 0 else None,  # a >= d by enumeration
     )
     return _Verdict(A, section, Candidate(A=A, c=sol.c, matches=match, solution=sol,
-                                          prop_flags=flags, suspect=suspect), suspect)
+                                          prop_flags=flags))
 
 
 def _prescanned(entries, cfg: SearchConfig):
@@ -389,8 +378,6 @@ def _candidate_lines(cand: Candidate) -> list[str]:
     if cand.prop_flags.bounds is not None:
         b = cand.prop_flags.bounds
         lines.append(f"  bounds [{b.lower:.9f}, {b.upper:.9f}] case {b.case_tag}")
-    if cand.suspect:
-        lines.append("  flag suspect (accepted after fine re-solve)")
     if cand.dual_partner is not None:
         p = cand.dual_partner
         lines.append(f"  dual {p.a} {p.b} {p.d}  c_dual = {cand.dual_c:.12f}")

@@ -41,9 +41,10 @@ cannot hold a zero or a sign change.  The fine pass evaluates only the
 remaining cells, with the same grid values and operations as a scan of
 every point, so the brackets and every root are bit-identical to it;
 exponents too large for the margin to cover refine every cell.  One
-kernel, _scan_block, runs both passes for a block of exponent rows at
-once; every value is computed elementwise, so a row's result does not
-depend on the block it is scanned in.  solve_r2 keeps each result, the
+kernel, _scan_block, runs both passes for a block of exponent rows, in
+chunks of rows whose arrays hold a bounded number of values; every
+value is computed elementwise, so a row's result does not depend on the
+block or chunk it is scanned in.  solve_r2 keeps each result, the
 solution or the ScanFailure message, under the key (A.integers,
 grid_n), for the last 16 384 keys of the process, so a repeated matrix
 is neither scanned nor solved again.  grid_n is 100 000 for a single
@@ -340,6 +341,10 @@ _MARGIN = 1e-9
 # refined cells per fine-pass array: up to 2^14 x (_STRIDE + 1) values,
 # about 8.5 MB each, also where a 10^7-point grid refines every cell
 _FINE_CELLS = 1 << 14
+# values per coarse-pass array, 1 MB: a chunk takes as many rows as fit,
+# one at least, so a block of 32 rows at 20 001 points (314 values a
+# row) is one chunk, and at 10^7 (156 251) a row at a time, as a lone solve
+_COARSE_VALUES = 1 << 17
 
 _Scan = tuple[list[float], list[tuple[float, float, float]]]
 
@@ -371,7 +376,8 @@ def _scan_block(P, n: int) -> list[_Scan]:
     depend on the other rows.
 
     The coarse pass evaluates the two terms at k = 0, S, 2S, ... and
-    n - 1 (S = _STRIDE), for all rows as one (k x cells+1) array.  A
+    n - 1 (S = _STRIDE), for a chunk of rows as one (k x cells+1)
+    array of at most _COARSE_VALUES values, or one row.  A
     term y^p (1-y)^q is monotone on any cell that avoids its critical
     point p/(p+q), which is interior only when p and q have the same
     sign; on such a cell f lies between lo, the sum of the terms'
@@ -383,8 +389,9 @@ def _scan_block(P, n: int) -> list[_Scan]:
     grid point; a NaN end value certifies nothing.  When the exponents
     make that error exceed the margin (e.g. b = 1/10^33), every cell of
     the row is refined.  The fine pass evaluates the refined (row, cell)
-    pairs, end points included, as (pairs x S+1) arrays of at most one
-    row's worth of cells, and at most _FINE_CELLS pairs, each.
+    pairs of each chunk, end points included, as (pairs x S+1) arrays
+    of at most one row's worth of cells, and at most _FINE_CELLS pairs,
+    each.
     """
     import numpy as np
 
@@ -392,52 +399,56 @@ def _scan_block(P, n: int) -> list[_Scan]:
     hits: list[set[float]] = [set() for _ in range(len(P))]
     flips: list[list[tuple[float, float, float]]] = [[] for _ in range(len(P))]
     kp, ly, l1y, cell = _coarse_grid(n)
+    cells = len(kp) - 1
+    chunk, step = max(1, _COARSE_VALUES // len(kp)), min(cells, _FINE_CELLS)
     # inf * 0 in the sign test below is NaN, which is not a flip
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        t0, t1 = _terms(P.T[:, :, None], ly, l1y, _exp_in_place)
-        lo = np.minimum(t0[:, :-1], t0[:, 1:])
-        lo += np.minimum(t1[:, :-1], t1[:, 1:])
-        lo *= 1.0 - _MARGIN
-        hi = np.maximum(t0[:, :-1], t0[:, 1:])
-        hi += np.maximum(t1[:, :-1], t1[:, 1:])
-        hi *= 1.0 + _MARGIN
-        refine = ~((lo > 1.0) | (hi < 1.0))
-        cells = refine.shape[1]
-        # per row, as Python floats: for the few rows of a block this is
-        # cheaper than a dozen numpy calls on k-element arrays
-        for i, p in enumerate(P.tolist()):
-            w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
-            if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
-                refine[i] = True
-            for e, q in (p[:2], p[2:]):
-                if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
-                    # the cell holding the critical point.  Rounding moves
-                    # it to a neighbour only when the point lies within a
-                    # few ulps of their common coarse point, where the term
-                    # is flat: on the neighbour it then exceeds its end
-                    # values by a relative |e + q| (n+1) ulp^2 at most, under
-                    # 1e-18 on a row not refined whole, far inside _MARGIN
-                    j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
-                    refine[i, min(max(j, 0), cells - 1)] = True
+        for first in range(0, len(P), chunk):
+            Pc = P[first:first + chunk]
+            t0, t1 = _terms(Pc.T[:, :, None], ly, l1y, _exp_in_place)
+            lo = np.minimum(t0[:, :-1], t0[:, 1:])
+            lo += np.minimum(t1[:, :-1], t1[:, 1:])
+            lo *= 1.0 - _MARGIN
+            hi = np.maximum(t0[:, :-1], t0[:, 1:])
+            hi += np.maximum(t1[:, :-1], t1[:, 1:])
+            hi *= 1.0 + _MARGIN
+            refine = ~((lo > 1.0) | (hi < 1.0))
+            # per row, as Python floats: for the few rows of a block this is
+            # cheaper than a dozen numpy calls on k-element arrays
+            for i, p in enumerate(Pc.tolist()):
+                w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
+                if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
+                    refine[i] = True
+                for e, q in (p[:2], p[2:]):
+                    if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
+                        # the cell holding the critical point.  Rounding moves
+                        # it to a neighbour only when the point lies within a
+                        # few ulps of their common coarse point, where the term
+                        # is flat: on the neighbour it then exceeds its end
+                        # values by a relative |e + q| (n+1) ulp^2 at most, under
+                        # 1e-18 on a row not refined whole, far inside _MARGIN
+                        j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
+                        refine[i, min(max(j, 0), cells - 1)] = True
 
-        # fine pass; the last cell is padded by repeating y_(n-1)
-        rows, cols = np.nonzero(refine)
-        step = min(cells, _FINE_CELLS)
-        for s in range(0, len(rows), step):
-            r = rows[s:s + step]
-            y = np.minimum(kp[cols[s:s + step], None] + cell, n) / (n + 1)
-            one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y), _exp_in_place)
-            g += one_minus_x
-            g -= 1.0
-            # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
-            # so the product of neighbours cannot underflow: it is negative
-            # exactly at a sign change, and NaN or 0 (never a flip) otherwise
-            for i, c in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)):
-                flips[r[i]].append((float(y[i, c]), float(y[i, c + 1]), float(g[i, c])))
-            # an exact zero is a root, not a flip; neighbouring cells share an
-            # end point and the padding repeats one, so a zero can be seen twice
-            for i, c in zip(*np.nonzero(g == 0.0)):
-                hits[r[i]].add(float(y[i, c]))
+            # fine pass; the last cell is padded by repeating y_(n-1)
+            rows, cols = np.nonzero(refine)
+            rows += first
+            for s in range(0, len(rows), step):
+                r = rows[s:s + step]
+                y = np.minimum(kp[cols[s:s + step], None] + cell, n) / (n + 1)
+                one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y),
+                                        _exp_in_place)
+                g += one_minus_x
+                g -= 1.0
+                # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
+                # so the product of neighbours cannot underflow: it is negative
+                # exactly at a sign change, and NaN or 0 (never a flip) otherwise
+                for i, c in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)):
+                    flips[r[i]].append((float(y[i, c]), float(y[i, c + 1]), float(g[i, c])))
+                # an exact zero is a root, not a flip; neighbouring cells share an
+                # end point and the padding repeats one, so a zero can be seen twice
+                for i, c in zip(*np.nonzero(g == 0.0)):
+                    hits[r[i]].add(float(y[i, c]))
     return [(sorted(h), f) for h, f in zip(hits, flips)]
 
 

@@ -6,6 +6,8 @@ generates the ``dilogtba`` launcher from the ``[project.scripts]`` entry
 in pyproject.toml, as an installer would, and runs it by name through
 PATH; the other runs ``python -m dilogtba.cli --version``.  Both
 children import the same dilogtba source tree as the in-process tests.
+Further children report what a cold start imports, and the peak memory
+of a search at the largest grid against that of a lone solve.
 Every JSON document emitted on a success path is validated against the
 shipped output schema, and the exit-code contract (0 success, 1
 computation failure, 2 input error) is pinned case by case and fuzzed
@@ -205,7 +207,7 @@ def test_solve_scan_failure_exits_1():
     ["verify-identities", "--precision", "-1"],
     ["verify-identities", "--precision", "nan"],
     ["verify-identities", "--catalog", os.devnull],  # a catalog with no record
-    ["search", "--tol", "1e-12"],            # below the search solver floor
+    ["search", "--tol", "1e-16"],            # below the solver's accuracy 1e-15
     ["recognize", "0.5", "--max-st", "-5"],  # spectrum bounds must be >= 1
     ["recognize", "0.5", "--max-st", "0"],
     ["recognize", "0.5", "--max-n", "0"],
@@ -214,11 +216,23 @@ def test_solve_scan_failure_exits_1():
     # grids are capped at 10^7: 10^12 points asked numpy for 116 GiB
     ["solve", "-A", "1/4", "7", "0", "--grid-n", "1000000000000"],
     ["search", "--grid-n", "1000000000000"],
+    # a rank-1 system is solved in closed form: no grid, no range check
+    ["solve", "-A", "1", "--grid-n", "5000"],
+    ["solve", "-A", "1", "--no-range-check"],
+    ["solve", "-A", "inf", "--grid-n", "5000", "--no-range-check", "--json"],
 ])
 def test_input_errors_exit_2(argv):
     code, _, err = run_cli(argv)
     assert code == 2, argv
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--grid-n", "5000"], ["--no-range-check"]])
+def test_rank_1_solve_names_the_flag_it_rejects(flag):
+    # kappa takes no grid and has no range check to skip
+    code, out, err = run_cli(["solve", "-A", "1", *flag, "--json"])
+    assert (code, out) == (2, "")
+    assert flag[0] in err and "rank-2" in err
 
 
 def test_cli_defaults_are_the_library_defaults(schema, monkeypatch):
@@ -856,6 +870,36 @@ def test_a_request_imports_only_what_it_needs(argv, numpy, mpmath):
     assert state["code"] == 0
     assert state["import"] == {"numpy": False, "mpmath": False}
     assert state["request"] == {"numpy": numpy, "mpmath": mpmath}
+
+
+# Runs the request in argv and prints the process's peak resident set in
+# MB (ru_maxrss counts KB on Linux and bytes on macOS).
+_PEAK_RSS = """
+import contextlib, io, resource, sys
+import dilogtba.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert dilogtba.cli.parse_and_dispatch(sys.argv[1:]) == 0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10))
+"""
+
+
+def test_a_search_at_the_grid_cap_peaks_near_a_lone_solve():
+    # the scan's arrays are bounded per chunk of rows, so a search block
+    # of 32 rows peaks within 10 MB of one row (119 MB against 39 MB
+    # when a block was coarse-scanned as one array)
+    pytest.importorskip("resource")
+
+    def peak_mb(*argv):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return float(proc.stdout)
+
+    solve = peak_mb("solve", "-A", "1/4", "7", "0", "--grid-n", "10000000")
+    found = peak_mb("search", "--max-den-entries", "2", "--max-num", "2",
+                    "--grid-n", "10000000")
+    assert found - solve < 10.0, (found, solve)
 
 
 def test_console_script_version():

@@ -98,8 +98,10 @@ def test_entry_values_clipping():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(tolerance=1e-11)
+    # the tolerance floor is the solver's accuracy, 1e-15, which it takes
+    with pytest.raises(ValueError, match="below the solver's accuracy"):
+        SearchConfig(tolerance=1e-16)
+    assert SearchConfig(tolerance=1e-15).tolerance == 1e-15
     with pytest.raises(ValueError):
         SearchConfig(max_denominator=0)
     with pytest.raises(ValueError):
@@ -249,8 +251,8 @@ def test_scan_failures_are_recorded_not_fatal(small_report):
 @pytest.mark.usefixtures("cold_solver")
 def test_xy_one_matrices_are_pruned_before_the_scan():
     # pruned counts exactly the a = d = -b matrices, none reaches solve_r2,
-    # and solve_r2 is called once per solve, failure and suspect re-solve:
-    # the small run, with suspect re-solves, and with a scan failure
+    # and solve_r2 is called once per solve and failure: the small run, at
+    # a loose tolerance, and with a scan failure
     for tolerance, failing in [(1e-9, None), (1e-7, None),
                                (1e-9, RationalSymmetricMatrix(2, 1, 1))]:
         def solve(A, **kwargs):
@@ -262,9 +264,8 @@ def test_xy_one_matrices_are_pruned_before_the_scan():
             rep = run_search(SearchConfig(max_denominator=1, max_numerator=4,
                                           tolerance=tolerance))
         assert not any(forces_xy_one(call.args[0]) for call in spy.call_args_list)
-        suspects = sum(c.suspect for c in rep.admissible + rep.nonunique)
-        assert spy.call_count == rep.solved + len(rep.failures) + suspects
-        assert (suspects > 0, len(rep.failures)) == (tolerance > 1e-9, failing is not None)
+        assert spy.call_count == rep.solved + len(rep.failures)
+        assert len(rep.failures) == (failing is not None)
         assert rep.pruned == 4
         # prescan's results went into solve_r2's store, within its cap
         assert len(tba._SOLVED) <= tba._SOLVED_CAP
@@ -272,8 +273,8 @@ def test_xy_one_matrices_are_pruned_before_the_scan():
 
 def test_call_counts_hold_on_a_warm_store():
     # the same three runs with every verdict and solve held from a first
-    # pass: a held suspect still makes its one re-solve call, and nothing
-    # is scanned again
+    # pass: each matrix still makes its one solve_r2 call, and nothing is
+    # scanned again
     with _fresh_stores():
         for tolerance in (1e-9, 1e-7):
             run_search(SearchConfig(max_denominator=1, max_numerator=4, tolerance=tolerance))
@@ -323,17 +324,18 @@ def test_search_is_deterministic():
     assert report_text(run_search(cfg)) == report_text(run_search(cfg))
 
 
-def test_loose_tolerance_flags_suspects():
-    rep = run_search(
-        SearchConfig(max_denominator=1, max_numerator=4, tolerance=1e-7)
-    )
-    suspects = [c for c in rep.admissible if c.suspect]
-    assert suspects
-    for cand in suspects:
-        assert not cand.matches.empty
-        assert cand.matches.residual <= 1e-7
-        # suspects are exactly the near-misses beyond the strict band
-        assert cand.matches.residual > 1e-10
+@pytest.mark.usefixtures("cold_solver")
+def test_each_matrix_is_solved_once_at_the_search_grid():
+    # one solve_r2 call per matrix, at the search's grid, also for the
+    # matches with residual above 1e-9, and no suspect flag
+    cfg = SearchConfig(max_denominator=1, max_numerator=4, tolerance=1e-8)
+    with mock.patch.object(search, "solve_r2", wraps=solve_r2) as spy:
+        rep = run_search(cfg)
+    assert spy.call_count == rep.solved + len(rep.failures) == 91
+    assert {call.kwargs["grid_n"] for call in spy.call_args_list} == {cfg.grid_n}
+    assert any(c.matches.residual > 1e-9 for c in rep.admissible)
+    assert not any(c.suspect for c in rep.admissible + rep.nonunique)
+    assert "flag suspect" not in report_text(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +554,3 @@ def test_report_json_states_the_tolerance_the_search_ran_at():
     assert any(r["value"] > 1e-9 for r in residuals)
     assert {r["tol"] for r in residuals} == {1e-7}
     assert report.tolerance == 1e-7
-
-
-def test_suspects_re_solve_within_the_grid_cap():
-    # 20 x 600 000 is above the cap of 10^7, which the re-solve takes instead
-    cfg = SearchConfig(max_denominator=1, max_numerator=2, tolerance=1e-7, grid_n=600_000)
-    with mock.patch.object(search, "solve_r2", wraps=solve_r2) as solve:
-        report = run_search(cfg)
-    assert any(c.suspect for c in report.admissible + report.nonunique)
-    assert {call.kwargs["grid_n"] for call in solve.call_args_list} == {600_000, tba.GRID_N_MAX}

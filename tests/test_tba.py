@@ -587,6 +587,19 @@ def test_block_scan_matches_the_full_grid_row_by_row(block, n):
     assert _scan_block([rows[i] for i in perm], n) == [expected[i] for i in perm]
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(block=_exponent_blocks(), n=_grid_ns, values=st.integers(1, 2000))
+def test_block_scan_is_the_same_in_chunks_of_rows(block, n, values):
+    # the coarse pass takes as many rows at a time as fit in _COARSE_VALUES
+    # values (one row at least); the chunks change no result
+    rows, _ = block
+    whole = _scan_block(rows, n)
+    with mock.patch.object(tba, "_COARSE_VALUES", values):
+        assert _scan_block(rows, n) == whole
+    # a search block at the search grid is one chunk
+    assert tba._COARSE_VALUES >= 32 * len(tba._coarse_grid(20_001)[0])
+
+
 # ---------------------------------------------------------------------------
 # prescan: a block of solves from one scan, held by solve_r2
 
