@@ -10,8 +10,9 @@ search applies --tol and each search flag given over the --config
 preset (or the SearchConfig defaults); a flag left out keeps its value.
 The CLI restates no library default: a flag left out is absent from
 args, so the library's default applies, and a document stating a
-default reads it from the module that owns it.  --grid-n takes the
-integers that tba's one grid check takes.
+default reads it from the module that owns it.  solve --grid-n takes
+the integers that tba's one grid check takes; a search always scans on
+search.SEARCH_GRID_N.
 
 Text reports go to standard output (first line is a version header,
 suppressed by --no-header); diagnostics go to standard error.  --json
@@ -549,10 +550,6 @@ def _build_parser(env_tol: str | None) -> argparse.ArgumentParser:
     sp.add_argument("--entry-max", type=_fraction, metavar="P/Q")
     sp.add_argument("--fix-d", type=_fraction, metavar="P/Q", help="pin d to one value")
     sp.add_argument("--a-eq-d", action="store_true", help="restrict to a = d")
-    sp.add_argument("--keep-nonunique", dest="require_uniqueness", action="store_false",
-                    help="treat multi-solution matrices as ordinary candidates")
-    sp.add_argument("--grid-n", type=_grid_n,
-                    help=f"scan resolution ({GRID_N_MIN} to {GRID_N_MAX})")
     sp.add_argument("--dedupe", action="store_true", default=False,
                     help="collapse duality-paired candidates to the c <= 1 member")
     sp.set_defaults(func=_cmd_search)

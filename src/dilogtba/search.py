@@ -23,23 +23,23 @@ through a cheap-to-expensive pipeline:
 Acceptance is the one predicate of the recognition: a match in any of
 the three spectra.  Matrices with several interior solutions (only
 scanned ones can have them) go to a separate "nonunique" section (all
-solutions listed) instead of the admissible list when
-require_uniqueness is set.  Solver failures are recorded per matrix,
-never fatal.  Results are deterministic and ordered by (largest entry
-denominator, a, d, b).
+solutions listed), matched or not, instead of the admissible list.
+Solver failures are recorded per matrix, never fatal.  Results are
+deterministic and ordered by (largest entry denominator, a, d, b).
 
 Overlapping windows share their matrices (den2's lie inside den4's,
 which lie inside den6's), so the process keeps each solved matrix's
 verdict: its section (or that it was dropped) and its candidate,
-under the key (A.integers, grid_n, tolerance, require_uniqueness), for
-the last 16 384 keys, with the matrix object itself.  A repeated matrix
-is neither built, nor recognized, nor annotated again.  It still goes
-through solve_r2, which returns the result it holds (see tba.solve_r2),
-so each matrix the search solves is one solve_r2 call, at grid_n.
+under the key (A.integers, tolerance), for the last 16 384 keys, with
+the matrix object itself.  A repeated matrix is neither built, nor
+recognized, nor annotated again.  It still goes through solve_r2, which
+returns the result it holds (see tba.solve_r2), so each matrix the
+search solves is one solve_r2 call, at SEARCH_GRID_N.
 
-The default tolerance is charges.DEFAULT_TOL, grid_n passes tba's one
-check and the continuum a = d = 0, b = 1/2 is left out by tba's test;
-a report records its tolerance, which report_json states.
+Every search scans on one grid, SEARCH_GRID_N = 20 001 points (a lone
+solve_r2 takes tba.DEFAULT_GRID_N).  The default tolerance is
+charges.DEFAULT_TOL, and the continuum a = d = 0, b = 1/2 is left out
+by tba's test; a report records its tolerance, which report_json states.
 
 dedupe_by_duality collapses pairs (A, (1/4) A^{-1}) that are both
 present to the representative with c <= 1, recording the partner and
@@ -67,8 +67,8 @@ from .analysis import (
 )
 from .charges import DEFAULT_TOL, ChargeMatch, recognize
 from .errors import ScanFailure, SingularMatrixError
-from .tba import (RationalSymmetricMatrix, TbaSolution, _as_fraction, _checked_grid_n,
-                  _continuum, forces_xy_one, prescan, solve_r2)
+from .tba import (RationalSymmetricMatrix, TbaSolution, _as_fraction, _continuum,
+                  forces_xy_one, prescan, solve_r2)
 
 __all__ = [
     "SearchConfig",
@@ -87,10 +87,13 @@ __all__ = [
 _MAX_FRACTIONS = 10_000
 _MAX_ENTRY_VALUES = 100
 
+# The scan grid of every search solve
+SEARCH_GRID_N = 20_001
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Enumeration bounds and pipeline switches for run_search.
+    """Enumeration bounds and the recognition tolerance for run_search.
 
     Entries are fractions p/q with 0 <= p <= max_numerator and
     1 <= q <= max_denominator, further clipped to
@@ -104,9 +107,9 @@ class SearchConfig:
     spectrum match is within 2.2e-16, so a tighter tolerance would
     reject values for the solver's rounding alone.  The charge spectra
     are those of charges.recognize at its default bounds.  fix_d pins d
-    to one exact value; a_eq_d restricts to the symmetric family a = d,
-    so the two cannot both be set.  grid_n is the scan resolution used
-    for search solves, checked by tba's one grid check, as solve_r2's is.
+    to one exact value, which must be nonnegative like every diagonal
+    entry in range; a_eq_d restricts to the symmetric family a = d, so
+    the two cannot both be set.
     """
 
     max_numerator: int = 8
@@ -114,10 +117,8 @@ class SearchConfig:
     entry_min: Fraction | None = None
     entry_max: Fraction | None = None
     tolerance: float = DEFAULT_TOL
-    require_uniqueness: bool = True
     fix_d: Fraction | None = None
     a_eq_d: bool = False
-    grid_n: int = 20_001
     _values: list[Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,13 +128,14 @@ class SearchConfig:
             raise ValueError(f"tolerance must be finite, got {self.tolerance}")
         if self.tolerance < 1e-15:
             raise ValueError(f"tolerance {self.tolerance} is below the solver's accuracy 1e-15")
-        _checked_grid_n(self.grid_n)  # a DomainError, which is a ValueError
         if self.fix_d is not None and self.a_eq_d:
             raise ValueError("fix_d and a_eq_d cannot both be set: a_eq_d takes d = a")
         for name in ("entry_min", "entry_max", "fix_d"):
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, _as_fraction(v, name))
+        if self.fix_d is not None and self.fix_d < 0:
+            raise ValueError(f"fix_d {self.fix_d} is negative: d must be >= 0")
         # the cheap bound first, so the loop below never runs over a huge range
         pairs = (self.max_numerator + 1) * self.max_denominator
         if pairs > _MAX_FRACTIONS:
@@ -258,8 +260,8 @@ class _Verdict(NamedTuple):
     candidate: Candidate | None
 
 
-# Verdicts by (A.integers, grid_n, tolerance, require_uniqueness); beyond
-# _VERDICTS_CAP entries the oldest goes first.
+# Verdicts by (A.integers, tolerance); beyond _VERDICTS_CAP entries the
+# oldest goes first.
 _VERDICTS: OrderedDict[tuple, _Verdict] = OrderedDict()
 _VERDICTS_CAP = 16_384
 
@@ -277,7 +279,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             report.pruned += 1
             continue
         try:
-            sol = solve_r2(A, grid_n=cfg.grid_n)
+            sol = solve_r2(A, grid_n=SEARCH_GRID_N)
         except ScanFailure as exc:
             report.failures.append((A, str(exc)))
             continue
@@ -295,7 +297,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 def _judge(A: RationalSymmetricMatrix, sol: TbaSolution, cfg: SearchConfig) -> _Verdict:
     """Recognize sol.c and annotate a kept matrix."""
     match = recognize(sol.c, tol=cfg.tolerance)
-    if sol.multiplicity > 1 and cfg.require_uniqueness:
+    if sol.multiplicity > 1:
         section = "nonunique"
     elif not match.empty:
         section = "admissible"
@@ -317,7 +319,7 @@ def _prescanned(entries, cfg: SearchConfig):
     for start in range(0, len(entries), _BLOCK):
         block = []
         for integers, a, b, d in entries[start:start + _BLOCK]:
-            key = (integers, cfg.grid_n, cfg.tolerance, cfg.require_uniqueness)
+            key = (integers, cfg.tolerance)
             verdict = _VERDICTS.get(key)
             if verdict is None:
                 A = RationalSymmetricMatrix(a, b, d)
@@ -325,7 +327,7 @@ def _prescanned(entries, cfg: SearchConfig):
             else:
                 A = verdict.A
             block.append((A, key, verdict))
-        prescan([A for A, _, _ in block], cfg.grid_n)
+        prescan([A for A, _, _ in block], SEARCH_GRID_N)
         yield from block
 
 

@@ -40,17 +40,19 @@ whose bounds clear 1 by a relative margin far above the rounding error
 cannot hold a zero or a sign change.  The fine pass evaluates only the
 remaining cells, with the same grid values and operations as a scan of
 every point, so the brackets and every root are bit-identical to it;
-exponents too large for the margin to cover refine every cell.  One
-kernel, _scan_block, runs both passes for a block of exponent rows, in
-chunks of rows whose arrays hold a bounded number of values; every
-value is computed elementwise, so a row's result does not depend on the
-block or chunk it is scanned in.  solve_r2 keeps each result, the
+exponents too large for the margin to cover refine every cell.  Of a
+run of consecutive grid points where f - 1 is exactly 0 (f rounding to
+1 on a plateau), the scan keeps the first and the last.  One kernel,
+_scan_block, runs both passes for a block of exponent rows at once;
+every value is computed elementwise, so a row's result does not depend
+on the block it is scanned in.  solve_r2 keeps each result, the
 solution or the ScanFailure message, under the key (A.integers,
 grid_n), for the last 16 384 keys of the process, so a repeated matrix
 is neither scanned nor solved again.  grid_n is 100 000 for a single
-solve and an int from 1001 to 10^7 everywhere (_checked_grid_n).  A
-lone solve scans a block of one; prescan solves a block of matrices
-with one scan and puts the results in that store, and the search
+solve (DEFAULT_GRID_N), 20 001 for a search (search.SEARCH_GRID_N),
+and an int from 1001 to 10^7 everywhere (_checked_grid_n).  A lone
+solve scans a block of one; prescan solves a block of matrices with
+one scan and puts the results in that store, and the search
 prescans its matrices a block at a time, paying numpy's fixed cost per
 call once per block.  numpy is imported on first use, inside
 _coarse_grid, _scan_block and _exp_in_place, so a process that solves
@@ -338,13 +340,10 @@ def reduced_f(A: RationalSymmetricMatrix, y: float) -> float:
 # its monotonicity bounds clear 1 by the relative _MARGIN.
 _STRIDE = 64
 _MARGIN = 1e-9
-# refined cells per fine-pass array: up to 2^14 x (_STRIDE + 1) values,
-# about 8.5 MB each, also where a 10^7-point grid refines every cell
-_FINE_CELLS = 1 << 14
-# values per coarse-pass array, 1 MB: a chunk takes as many rows as fit,
-# one at least, so a block of 32 rows at 20 001 points (314 values a
-# row) is one chunk, and at 10^7 (156 251) a row at a time, as a lone solve
-_COARSE_VALUES = 1 << 17
+# refined cells per fine-pass array: up to 2^9 x (_STRIDE + 1) values,
+# 0.27 MB each, so a row that refines every cell (156 250 of them on a
+# 10^7-point grid) peaks a few MB above one that refines a few
+_FINE_CELLS = 1 << 9
 
 _Scan = tuple[list[float], list[tuple[float, float, float]]]
 
@@ -368,16 +367,16 @@ def _scan_block(P, n: int) -> list[_Scan]:
     """Exact zeros and sign changes of g = f - 1 on y_k = (k+1)/(n+1), k < n,
     for each row p of the (k, 4) exponent array P.
 
-    Returns per row the ascending y_k with g(y_k) == 0 and, ascending,
-    the brackets (y_k, y_k+1, g(y_k)) where g changes sign: exactly what
+    Returns per row, ascending, the first and last y_k of each run of
+    consecutive grid points where g(y_k) == 0 and, ascending, the
+    brackets (y_k, y_k+1, g(y_k)) where g changes sign: exactly what
     evaluating g on all n points finds, each value bit-identical, while
     g is evaluated only in cells that can hold a zero or a sign change.
     Every value is computed elementwise, so a row's result does not
     depend on the other rows.
 
     The coarse pass evaluates the two terms at k = 0, S, 2S, ... and
-    n - 1 (S = _STRIDE), for a chunk of rows as one (k x cells+1)
-    array of at most _COARSE_VALUES values, or one row.  A
+    n - 1 (S = _STRIDE), for all rows as one (k x cells+1) array.  A
     term y^p (1-y)^q is monotone on any cell that avoids its critical
     point p/(p+q), which is interior only when p and q have the same
     sign; on such a cell f lies between lo, the sum of the terms'
@@ -389,67 +388,74 @@ def _scan_block(P, n: int) -> list[_Scan]:
     grid point; a NaN end value certifies nothing.  When the exponents
     make that error exceed the margin (e.g. b = 1/10^33), every cell of
     the row is refined.  The fine pass evaluates the refined (row, cell)
-    pairs of each chunk, end points included, as (pairs x S+1) arrays
-    of at most one row's worth of cells, and at most _FINE_CELLS pairs,
-    each.
+    pairs, end points included, as (pairs x S+1) arrays of at most one
+    row's worth of cells, and at most _FINE_CELLS pairs, each.
     """
     import numpy as np
 
     P = np.asarray(P, dtype=np.float64).reshape(-1, 4)
-    hits: list[set[float]] = [set() for _ in range(len(P))]
+    # per row, the first and last numerator k + 1 of each run of zeros
+    ends: list[list[int]] = [[] for _ in range(len(P))]
     flips: list[list[tuple[float, float, float]]] = [[] for _ in range(len(P))]
     kp, ly, l1y, cell = _coarse_grid(n)
-    cells = len(kp) - 1
-    chunk, step = max(1, _COARSE_VALUES // len(kp)), min(cells, _FINE_CELLS)
     # inf * 0 in the sign test below is NaN, which is not a flip
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for first in range(0, len(P), chunk):
-            Pc = P[first:first + chunk]
-            t0, t1 = _terms(Pc.T[:, :, None], ly, l1y, _exp_in_place)
-            lo = np.minimum(t0[:, :-1], t0[:, 1:])
-            lo += np.minimum(t1[:, :-1], t1[:, 1:])
-            lo *= 1.0 - _MARGIN
-            hi = np.maximum(t0[:, :-1], t0[:, 1:])
-            hi += np.maximum(t1[:, :-1], t1[:, 1:])
-            hi *= 1.0 + _MARGIN
-            refine = ~((lo > 1.0) | (hi < 1.0))
-            # per row, as Python floats: for the few rows of a block this is
-            # cheaper than a dozen numpy calls on k-element arrays
-            for i, p in enumerate(Pc.tolist()):
-                w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
-                if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
-                    refine[i] = True
-                for e, q in (p[:2], p[2:]):
-                    if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
-                        # the cell holding the critical point.  Rounding moves
-                        # it to a neighbour only when the point lies within a
-                        # few ulps of their common coarse point, where the term
-                        # is flat: on the neighbour it then exceeds its end
-                        # values by a relative |e + q| (n+1) ulp^2 at most, under
-                        # 1e-18 on a row not refined whole, far inside _MARGIN
-                        j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
-                        refine[i, min(max(j, 0), cells - 1)] = True
+        t0, t1 = _terms(P.T[:, :, None], ly, l1y, _exp_in_place)
+        lo = np.minimum(t0[:, :-1], t0[:, 1:])
+        lo += np.minimum(t1[:, :-1], t1[:, 1:])
+        lo *= 1.0 - _MARGIN
+        hi = np.maximum(t0[:, :-1], t0[:, 1:])
+        hi += np.maximum(t1[:, :-1], t1[:, 1:])
+        hi *= 1.0 + _MARGIN
+        refine = ~((lo > 1.0) | (hi < 1.0))
+        cells = refine.shape[1]
+        # per row, as Python floats: for the few rows of a block this is
+        # cheaper than a dozen numpy calls on k-element arrays
+        for i, p in enumerate(P.tolist()):
+            w = max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) * math.log(n + 1)
+            if 32.0 * sys.float_info.epsilon * (1.0 + w) > _MARGIN:
+                refine[i] = True
+            for e, q in (p[:2], p[2:]):
+                if (e > 0.0 and q > 0.0) or (e < 0.0 and q < 0.0):
+                    # the cell holding the critical point.  Rounding moves
+                    # it to a neighbour only when the point lies within a
+                    # few ulps of their common coarse point, where the term
+                    # is flat: on the neighbour it then exceeds its end
+                    # values by a relative |e + q| (n+1) ulp^2 at most, under
+                    # 1e-18 on a row not refined whole, far inside _MARGIN
+                    j = int(((n + 1) * (e / (e + q)) - 1.0) // _STRIDE)
+                    refine[i, min(max(j, 0), cells - 1)] = True
 
-            # fine pass; the last cell is padded by repeating y_(n-1)
-            rows, cols = np.nonzero(refine)
-            rows += first
-            for s in range(0, len(rows), step):
-                r = rows[s:s + step]
-                y = np.minimum(kp[cols[s:s + step], None] + cell, n) / (n + 1)
-                one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y),
-                                        _exp_in_place)
-                g += one_minus_x
-                g -= 1.0
-                # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
-                # so the product of neighbours cannot underflow: it is negative
-                # exactly at a sign change, and NaN or 0 (never a flip) otherwise
-                for i, c in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)):
-                    flips[r[i]].append((float(y[i, c]), float(y[i, c + 1]), float(g[i, c])))
-                # an exact zero is a root, not a flip; neighbouring cells share an
-                # end point and the padding repeats one, so a zero can be seen twice
-                for i, c in zip(*np.nonzero(g == 0.0)):
-                    hits[r[i]].add(float(y[i, c]))
-    return [(sorted(h), f) for h, f in zip(hits, flips)]
+        # fine pass; the last cell is padded by repeating y_(n-1)
+        rows, cols = np.nonzero(refine)
+        step = min(cells, _FINE_CELLS)
+        for s in range(0, len(rows), step):
+            r = rows[s:s + step]
+            k = np.minimum(kp[cols[s:s + step], None] + cell, n)
+            y = k / (n + 1)
+            one_minus_x, g = _terms(P[r].T[:, :, None], np.log(y), np.log1p(-y), _exp_in_place)
+            g += one_minus_x
+            g -= 1.0
+            # a nonzero g has |g| >= 2^-53 (f - 1 is exact for f in [1/2, 2]),
+            # so the product of neighbours cannot underflow: it is negative
+            # exactly at a sign change, and NaN or 0 (never a flip) otherwise
+            for i, c in zip(*np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)):
+                flips[r[i]].append((float(y[i, c]), float(y[i, c + 1]), float(g[i, c])))
+            # an exact zero is a root, not a flip.  The zeros come in
+            # ascending (row, k) order; neighbouring cells share an end point
+            # and the padding repeats one, so a zero can be seen twice.  A
+            # run breaks where the row changes or a grid point is skipped
+            zero = g == 0.0
+            zr, zk = r[np.nonzero(zero)[0]], k[zero]
+            if zk.size:
+                cut = (zr[1:] != zr[:-1]) | (zk[1:] > zk[:-1] + 1)
+                first, last = np.r_[True, cut], np.r_[cut, True]
+                for i, k0, k1 in zip(zr[first].tolist(), zk[first].tolist(), zk[last].tolist()):
+                    if ends[i] and k0 <= ends[i][-1] + 1:
+                        ends[i][-1] = k1  # a run that goes on from the step before
+                    else:
+                        ends[i] += (k0, k1)
+    return [([k / (n + 1) for k in sorted(set(e))], f) for e, f in zip(ends, flips)]
 
 
 def _residuals(A: RationalSymmetricMatrix, x: float, y: float) -> float:
@@ -626,8 +632,7 @@ def _newton(A: RationalSymmetricMatrix) -> tuple[float, float, float] | None:
 
 # The grid of a single solve_r2, and the bounds of every grid_n: below
 # 1001 points the scan does not separate close roots, and at 10^7 points
-# a scan's arrays stay near 100 MB (a row that refines every cell, or a
-# search block's coarse pass).
+# a scan's arrays stay near 100 MB (a row that refines every cell).
 DEFAULT_GRID_N = 100_000
 GRID_N_MIN, GRID_N_MAX = 1001, 10**7
 
@@ -661,11 +666,11 @@ def solve_r2(
     falls back to the scan below when its residual exceeds 1e-13 or it
     reaches its iteration cap.  b = 0 decouples into kappa(a), kappa(d).
 
-    Every other system is scanned: the scan finds every exact zero and
-    sign change of the reduced equation on the uniform grid
-    y_k = (k+1)/(grid_n+1), k < grid_n, and refines every sign change by
-    Newton-split bisection to a bracket a few ulps wide; x is recovered
-    from the second reduced term.  It evaluates every 64th grid point,
+    Every other system is scanned: the scan finds every exact zero (the
+    two ends of a run of them) and sign change of the reduced equation
+    on the uniform grid y_k = (k+1)/(grid_n+1), k < grid_n, and refines
+    every sign change by Newton-split bisection to a bracket a few ulps
+    wide; x is recovered from the second reduced term.  It evaluates every 64th grid point,
     then only the cells between them that can hold a sign change: a cell
     is skipped when both terms are monotone on it (their critical points
     lie elsewhere) and the sums of their end values clear 1 by a
@@ -680,8 +685,8 @@ def solve_r2(
     solution is found, before the scan for a = d = 0, b = 1/2 (a
     continuum) and a = d = -b != 0 (xy = 1).  grid_n must be an int
     from GRID_N_MIN = 1001 to GRID_N_MAX = 10^7 for every system
-    (_checked_grid_n, which SearchConfig and the CLI's --grid-n call
-    too); anything else raises DomainError.
+    (_checked_grid_n, which the CLI's solve --grid-n calls too); anything
+    else raises DomainError.
 
     The entry range is neither sufficient nor necessary for a solution:
     some continuous families (for example b = 1/2 - sqrt(ad) with large

@@ -7,7 +7,8 @@ in pyproject.toml, as an installer would, and runs it by name through
 PATH; the other runs ``python -m dilogtba.cli --version``.  Both
 children import the same dilogtba source tree as the in-process tests.
 Further children report what a cold start imports, and the peak memory
-of a search at the largest grid against that of a lone solve.
+of a lone solve at the largest grid that meets a plateau of exact zeros
+against that of one that does not.
 Every JSON document emitted on a success path is validated against the
 shipped output schema, and the exit-code contract (0 success, 1
 computation failure, 2 input error) is pinned case by case and fuzzed
@@ -220,6 +221,8 @@ def test_solve_scan_failure_exits_1():
     ["solve", "-A", "1", "--grid-n", "5000"],
     ["solve", "-A", "1", "--no-range-check"],
     ["solve", "-A", "inf", "--grid-n", "5000", "--no-range-check", "--json"],
+    # d < 0 is outside every matrix's entry range
+    ["search", "--fix-d", "-1", "--max-den-entries", "1", "--max-num", "1"],
 ])
 def test_input_errors_exit_2(argv):
     code, _, err = run_cli(argv)
@@ -522,11 +525,23 @@ def test_search_text_has_summary_header():
 
 
 def test_search_flags_override_a_named_config(schema):
-    # the symmetric preset alone scans 781 matrices and lists 91 nonunique
+    # the symmetric preset alone scans 781 matrices and lists 91 nonunique;
+    # the flags leave a = d in {1, 2} with b >= -d in {-2, -1, 1, 2}
     doc = run_json(["search", "--config", "symmetric", "--max-num", "2",
-                    "--keep-nonunique", "--json"], schema)
-    assert doc["report"]["scanned"] == 69
-    assert doc["report"]["nonunique"] == []
+                    "--entry-min", "1", "--json"], schema)
+    report = doc["report"]
+    assert report["scanned"] == 7
+    assert all(c["matrix"]["a"] == c["matrix"]["d"]
+               for c in report["admissible"] + report["nonunique"])
+
+
+@pytest.mark.parametrize("flag", [["--grid-n", "20001"], ["--keep-nonunique"]])
+def test_removed_search_flags_are_unrecognized(flag):
+    # a search scans on search.SEARCH_GRID_N and lists every multi-solution
+    # matrix as nonunique; neither is a flag any more
+    code, out, err = run_cli(["search", "--max-den-entries", "1", "--max-num", "1", *flag])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 @pytest.mark.parametrize("value", ["1/0", "x"])
@@ -698,14 +713,14 @@ _FUZZ_COMMAND_FLAGS = {
     "dual": ["-A", "--scale", "--no-range-check"],
     "recognize": ["--max-st", "--max-n", "--max-den"],
     "search": ["--config", "--max-den-entries", "--max-num", "--entry-min", "--entry-max",
-               "--fix-d", "--a-eq-d", "--keep-nonunique", "--grid-n", "--dedupe"],
+               "--fix-d", "--a-eq-d", "--dedupe"],
     "verify-identities": ["--precision", "--catalog", "--cross-check"],
     "expand": ["--order"],
     "ceff-estimate": ["--eps"],
 }
 _FUZZ_COMMON_FLAGS = ["--json", "--no-header", "--tol"]
-_FUZZ_SWITCHES = {"--json", "--no-header", "--no-range-check", "--a-eq-d",
-                  "--keep-nonunique", "--dedupe", "--cross-check"}
+_FUZZ_SWITCHES = {"--json", "--no-header", "--no-range-check", "--a-eq-d", "--dedupe",
+                  "--cross-check"}
 _FUZZ_FLAGS = sorted({f for flags in _FUZZ_COMMAND_FLAGS.values() for f in flags}
                      | {*_FUZZ_COMMON_FLAGS, "--version", "--help"})
 _FUZZ_ENTRIES = ["0", "1", "2", "4", "-1", "1/2", "-1/2", "3/4", "-3/2", "1/20",
@@ -884,22 +899,22 @@ print(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10))
 """
 
 
-def test_a_search_at_the_grid_cap_peaks_near_a_lone_solve():
-    # the scan's arrays are bounded per chunk of rows, so a search block
-    # of 32 rows peaks within 10 MB of one row (119 MB against 39 MB
-    # when a block was coarse-scanned as one array)
+def test_a_plateau_solve_at_the_grid_cap_peaks_near_a_lone_solve():
+    # f rounds to exactly 1 on y < 0.382 for (0 1/10^33; 1/10^33 1), and
+    # every cell of the row is refined: the scan kept 3 819 660 zeros and
+    # peaked at 375 MB against 39 MB
     pytest.importorskip("resource")
 
     def peak_mb(*argv):
-        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "solve", "-A", *argv,
+                               "--grid-n", "10000000"],
                               capture_output=True, text=True, env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         return float(proc.stdout)
 
-    solve = peak_mb("solve", "-A", "1/4", "7", "0", "--grid-n", "10000000")
-    found = peak_mb("search", "--max-den-entries", "2", "--max-num", "2",
-                    "--grid-n", "10000000")
-    assert found - solve < 10.0, (found, solve)
+    lone = peak_mb("1/4", "7", "0")
+    plateau = peak_mb("0", f"1/{10**33}", "1")
+    assert plateau - lone < 10.0, (plateau, lone)
 
 
 def test_console_script_version():

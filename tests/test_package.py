@@ -1,11 +1,16 @@
-"""The package's public namespace: which names it exports and from where."""
+"""The package's public namespace: which names it exports and from where,
+and the only modules it imports."""
 
+import ast
 import importlib
 import re
+import sys
 import types
 from pathlib import Path
 
 import dilogtba
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # each public name under the module that defines it
 _DEFINED_IN = {
@@ -62,3 +67,35 @@ def test_no_module_touches_mpmaths_global_precision():
             for k, line in enumerate(path.read_text("utf-8").splitlines(), 1)
             if _GLOBAL_PRECISION.search(line)]
     assert hits == []
+
+
+# the package depends on numpy and mpmath alone; hypothesis, jsonschema,
+# scipy and sympy may be installed next to it, but src/ must not use them
+_DEPENDENCIES = {"numpy", "mpmath"}
+
+
+def test_src_imports_only_the_stdlib_and_its_two_dependencies():
+    allowed = set(sys.stdlib_module_names) | _DEPENDENCIES | {"dilogtba"}
+    outside = []
+    for path in sorted(Path(dilogtba.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import is the package's own
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
+
+
+def test_pyproject_declares_exactly_the_two_dependencies():
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10, where pytest brings tomli
+        import tomli as tomllib
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    names = sorted(re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                   for spec in project["dependencies"])
+    assert names == sorted(_DEPENDENCIES)

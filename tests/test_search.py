@@ -17,7 +17,7 @@ import io
 import json
 import math
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -106,6 +106,10 @@ def test_config_validation():
         SearchConfig(max_denominator=0)
     with pytest.raises(ValueError):
         SearchConfig(max_numerator=0)
+    # a negative d is outside every matrix's entry range; the search ran
+    # and found nothing
+    with pytest.raises(ValueError, match="fix_d -1/2 is negative"):
+        SearchConfig(max_denominator=2, max_numerator=1, fix_d=F(-1, 2))
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
@@ -114,14 +118,6 @@ def test_config_rejects_a_non_finite_tolerance(tolerance):
     # candidate at all
     with pytest.raises(ValueError, match="tolerance must be finite"):
         SearchConfig(max_denominator=2, max_numerator=2, tolerance=tolerance)
-
-
-@pytest.mark.parametrize("grid_n", [10**7 + 1, True, 1e5, 1000],
-                         ids=["above-cap", "bool", "float", "below-floor"])
-def test_config_checks_grid_n_as_solve_r2_does(grid_n):
-    with pytest.raises(ValueError, match="grid_n"):
-        SearchConfig(max_denominator=2, max_numerator=2, grid_n=grid_n)
-    assert SearchConfig(grid_n=tba.GRID_N_MAX).grid_n == tba.GRID_N_MAX
 
 
 def test_config_rejects_fix_d_with_a_eq_d():
@@ -144,18 +140,21 @@ def test_config_caps_the_enumeration():
     assert len(SearchConfig(max_denominator=12, max_numerator=8).entry_values()) == 64
 
 
-def test_config_rejects_a_grid_below_the_solver_floor():
-    # solve_r2 refuses grid_n < 1001; the search must not start on such a grid
-    for grid_n in (10, 1000):
-        with pytest.raises(ValueError, match="grid_n"):
-            SearchConfig(grid_n=grid_n)
-    assert run_search(SearchConfig(max_denominator=1, max_numerator=1, grid_n=1001)).solved == 6
-
-
 def test_config_coerces_exact_bounds():
     cfg = SearchConfig(fix_d=0, entry_min=1)
     assert cfg.fix_d == F(0) and isinstance(cfg.fix_d, F)
     assert cfg.entry_min == F(1) and isinstance(cfg.entry_min, F)
+
+
+@pytest.mark.parametrize("option", [{"grid_n": 20_001}, {"require_uniqueness": False}])
+def test_config_has_no_grid_or_uniqueness_option(option):
+    # every search scans on SEARCH_GRID_N and lists every multi-solution
+    # matrix in the nonunique section
+    with pytest.raises(TypeError):
+        SearchConfig(**option)
+    assert [f.name for f in fields(SearchConfig) if f.init] == [
+        "max_numerator", "max_denominator", "entry_min", "entry_max", "tolerance",
+        "fix_d", "a_eq_d"]
 
 
 @pytest.mark.parametrize("name", ["den4", "diag_zero", "symmetric"])
@@ -211,19 +210,6 @@ def test_multi_solution_systems_go_to_the_nonunique_section(small_report):
     assert len(pts) == 3
     assert abs(pts[0][0] - pts[-1][1]) < 1e-9
     assert abs(pts[1][0] - pts[1][1]) < 1e-9
-
-
-def test_require_uniqueness_off_moves_matched_candidates():
-    rep = run_search(
-        SearchConfig(max_denominator=1, max_numerator=4, require_uniqueness=False)
-    )
-    assert not rep.nonunique
-    assert len(rep.admissible) == 26
-    entries = {c.A for c in rep.admissible}
-    # the matched three-solution system joins the admissible list; the
-    # unmatched two-solution system is dropped entirely
-    assert RationalSymmetricMatrix(1, 4, 1) in entries
-    assert RationalSymmetricMatrix(1, 4, 0) not in entries
 
 
 @pytest.mark.usefixtures("cold_solver")
@@ -297,7 +283,7 @@ def _brute_force_admissible(cfg: SearchConfig) -> dict:
                 A = RationalSymmetricMatrix(a, b, d)
                 if forces_xy_one(A):
                     continue
-                sol = solve_r2(A, grid_n=cfg.grid_n)
+                sol = solve_r2(A, grid_n=search.SEARCH_GRID_N)
                 match = recognize(sol.c, tol=cfg.tolerance)
                 if sol.multiplicity == 1 and not match.empty:
                     out[A] = match
@@ -332,7 +318,7 @@ def test_each_matrix_is_solved_once_at_the_search_grid():
     with mock.patch.object(search, "solve_r2", wraps=solve_r2) as spy:
         rep = run_search(cfg)
     assert spy.call_count == rep.solved + len(rep.failures) == 91
-    assert {call.kwargs["grid_n"] for call in spy.call_args_list} == {cfg.grid_n}
+    assert {call.kwargs["grid_n"] for call in spy.call_args_list} == {search.SEARCH_GRID_N}
     assert any(c.matches.residual > 1e-9 for c in rep.admissible)
     assert not any(c.suspect for c in rep.admissible + rep.nonunique)
     assert "flag suspect" not in report_text(rep)
